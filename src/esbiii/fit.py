@@ -34,10 +34,18 @@ equation holds at such a pin, and the two objectives differ at the
 solution by a bounded amount: below c*k = 1 the floor truncates an
 infinite spike (exact above working), just above it the floor slightly
 inflates the pinned point's contribution (working above exact).
+
+A cycle is a deterministic function of its starting point, so once a full
+cycle leaves every parameter unchanged (compared bit for bit) every later
+cycle would too.  The ascent then stops with converged=False even if
+max_cycles is not used up: the point is final, but its score norm stays
+above the tolerance.  Solve errors swallowed on the way to the golden
+fallback, and such fixed-point exits, are logged at DEBUG level.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -70,6 +78,8 @@ __all__ = [
 ]
 
 COORD_NAMES = ("mu", "sigma", "c", "k", "eps")
+
+_log = logging.getLogger(__name__)
 
 _MIN_N = 20
 _EPS_EDGE = 1e-9  # distance kept between eps and the ends of (-1, 1)
@@ -271,7 +281,10 @@ class FitResult:
     the mu component when mu is pinned at the floor of an observation
     (always the case when the fitted c*k < 1), where the mu score cannot
     vanish (see the module docstring).  trace holds (cycle, loglik)
-    pairs and never decreases in its second column.
+    pairs and never decreases in its second column; cycles equals its
+    last cycle number.  An unconverged result may report cycles below
+    max_cycles: its ascent stopped at a point that a full cycle leaves
+    unchanged, where more cycles could not move it.
     """
 
     params: Params
@@ -633,8 +646,13 @@ def _ascend(x, data, p, cfg, floor, score_tol):
                 cand_ll = _fit_loglik(
                     x, cand.mu, cand.sigma, cand.c, cand.k, cand.eps, floor
                 )
-            except (NoBracketError, NonConvergenceError, BracketError, DomainError):
-                pass
+            except (
+                NoBracketError,
+                NonConvergenceError,
+                BracketError,
+                DomainError,
+            ) as exc:
+                _log.debug("cycle %d: %s update failed: %r", cycle, name, exc)
             if cand is not None and cand_ll >= ll:
                 p, ll = cand, cand_ll
                 continue
@@ -653,6 +671,10 @@ def _ascend(x, data, p, cfg, floor, score_tol):
         if _rel_change(p, p_prev) <= cfg.param_tol and norm <= score_tol:
             converged = True
             break
+        if p == p_prev:
+            # fixed point of the cycle: every later cycle would repeat this one
+            _log.debug("cycle %d: fixed point at loglik %.17g", cycle, ll)
+            break
     return p, ll, converged, cycle, trace
 
 
@@ -665,7 +687,10 @@ def fit_ml(data, cfg=None):
     trace is the winning run's and never decreases.  Convergence means
     both the relative parameter change over a full cycle and the scaled
     score norm fell below their tolerances; otherwise the best point
-    found is returned with converged=False.
+    found is returned with converged=False.  An ascent also ends, with
+    converged=False, as soon as a full cycle leaves every parameter
+    unchanged, since every later cycle would repeat it; cycles can then be
+    below cfg.max_cycles.
     """
     cfg = cfg or FitConfig()
     x = np.asarray(data.values, dtype=float)

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from esbiii.errors import (
     DegenerateDataError,
     DensityLimitWarning,
     DomainError,
+    NoBracketError,
     SmallSampleError,
 )
 from esbiii.fit import COORD_NAMES
@@ -271,6 +273,55 @@ class TestFitMl:
         lls = [v for _, v in r.trace]
         assert all(b >= a for a, b in zip(lls, lls[1:]))
         assert abs(r.params.c * r.params.k - 0.5) < 0.2
+
+
+@pytest.fixture(scope="module")
+def spiked():
+    # c*k < 1; from the eps = 0.6 start below the ascent reaches a point
+    # that a full cycle leaves unchanged, with the score norm above tolerance
+    return Dataset(sample(Params(0.0, 1.0, 5.0, 0.1, 0.2), 2000, seed=1))
+
+
+class TestFixedPointExit:
+    def test_stalled_start_stops_at_its_fixed_point(self, spiked, caplog):
+        start = replace(
+            moment_init(spiked), mu=float(np.quantile(spiked.values, 0.2)), eps=0.6
+        )
+        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
+            r = fit_ml(spiked, FitConfig(init=start))
+        assert not r.converged
+        assert r.cycles < 500
+        assert r.cycles == r.trace[-1][0]
+        assert r.loglik == r.trace[-1][1]
+        exits = [rec for rec in caplog.records if "fixed point" in rec.getMessage()]
+        assert len(exits) == 1
+        assert exits[0].getMessage().startswith(f"cycle {r.cycles}: ")
+        # one more cycle from the returned point changes nothing
+        again = fit_ml(spiked, FitConfig(init=r.params, max_cycles=1))
+        assert again.params == r.params
+        assert again.loglik == r.loglik
+
+    def test_default_fit_is_the_converged_moment_start(self, spiked):
+        r = fit_ml(spiked)
+        assert r == fit_ml(spiked, FitConfig(init=moment_init(spiked)))
+        assert r.converged
+        assert r.cycles == 42
+
+    def test_swallowed_solve_error_is_logged(self, monkeypatch, caplog):
+        def refuse(p, which, data, cfg=None):
+            raise NoBracketError(f"no {which} bracket")
+
+        monkeypatch.setattr("esbiii.fit.solve_coordinate", refuse)
+        data = Dataset(sample(TRUTH, 200, seed=3))
+        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
+            r = fit_ml(data, FitConfig(init=moment_init(data), max_cycles=3))
+        failed = [rec.getMessage() for rec in caplog.records]
+        assert "cycle 1: mu update failed: NoBracketError('no mu bracket')" in failed
+        assert sum("update failed" in m for m in failed) == 5 * r.cycles
+        # the golden-section fallback still climbs
+        lls = [v for _, v in r.trace]
+        assert all(b >= a for a, b in zip(lls, lls[1:]))
+        assert lls[-1] > lls[0]
 
 
 class TestFitConfig:
