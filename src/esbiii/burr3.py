@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .special_math import log1p_exp
 
 __all__ = [
     "Burr3Params",
@@ -75,7 +76,7 @@ def burr3_pdf(p, z):
     logpdf = (
         np.log(p.c * p.k)
         - (p.c + 1.0) * logz
-        - (p.k + 1.0) * np.logaddexp(0.0, -p.c * logz)
+        - (p.k + 1.0) * log1p_exp(-p.c * logz)
     )
     return _maybe_scalar(np.exp(logpdf), z)
 
@@ -83,7 +84,7 @@ def burr3_pdf(p, z):
 def burr3_cdf(p, z):
     """Distribution function G(z) = (1 + z**-c)**-k for z > 0."""
     arr = _positive_array(z, "z")
-    out = np.exp(-p.k * np.logaddexp(0.0, -p.c * np.log(arr)))
+    out = np.exp(-p.k * log1p_exp(-p.c * np.log(arr)))
     return _maybe_scalar(out, z)
 
 
@@ -96,15 +97,27 @@ def burr3_quantile(p, u):
     arr = np.asarray(u, dtype=float)
     if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise DomainError("u must lie strictly inside (0, 1)")
-    a = -np.log(arr) / p.k
+    return _maybe_scalar(_quantile_from_neg_log(p, -np.log(arr)), u)
+
+
+def _quantile_from_neg_log(p, neg_log_u):
+    """Burr III quantile at u = exp(-neg_log_u), for neg_log_u > 0.
+
+    Taking -log u lets a caller that holds 1 - u more exactly than u pass
+    -log1p(-(1 - u)), so u near 1 never rounds to 1.  Returns an array of
+    the shape of neg_log_u, computed in place to spare temporaries.
+    """
+    a = np.atleast_1d(neg_log_u / p.k)
     # log(expm1(a)) without overflow: for large a this is a + log1p(-exp(-a))
+    log_t = np.minimum(a, 33.0)
+    np.expm1(log_t, out=log_t)
+    np.log(log_t, out=log_t)
     big = a > 33.0
-    log_t = np.where(
-        big,
-        a + np.log1p(-np.exp(-np.where(big, a, 33.0))),
-        np.log(np.expm1(np.where(big, 33.0, a))),
-    )
-    return _maybe_scalar(np.exp(-log_t / p.c), u)
+    if big.any():
+        log_t[big] = a[big] + np.log1p(-np.exp(-a[big]))
+    out = np.negative(log_t, out=log_t)
+    out /= p.c
+    return np.exp(out, out=out).reshape(np.shape(neg_log_u))
 
 
 def burr3_sample(p, n, seed):

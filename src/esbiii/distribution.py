@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burr3 import Burr3Params, burr3_quantile
+from .burr3 import Burr3Params, _quantile_from_neg_log, burr3_quantile
 from .errors import DensityLimitWarning, DomainError, MomentDoesNotExistError
-from .special_math import beta_fn, ln_gamma
+from .special_math import beta_fn, ln_gamma, log1p_exp
 
 __all__ = [
     "CfSpec",
@@ -159,7 +159,7 @@ def _log_density_core(w, p):
     return (
         math.log(p.c * p.k / (2.0 * p.sigma))
         - (p.c + 1.0) * logw
-        - (p.k + 1.0) * np.logaddexp(0.0, -p.c * logw)
+        - (p.k + 1.0) * log1p_exp(-p.c * logw)
     )
 
 
@@ -217,7 +217,7 @@ def cdf(p, y):
         logw = np.log(w)
     # log(1 + w**-c); the at-origin entries become +inf, which feeds the
     # correct limits below (G -> 0, tail factor -> 1)
-    t = np.logaddexp(0.0, -p.c * logw)
+    t = log1p_exp(-p.c * logw)
     half_lo = 0.5 * (1.0 - p.eps)
     g = np.exp(-p.k * t)
     pos = x >= 0.0
@@ -233,19 +233,34 @@ def quantile(p, prob):
     """Inverse distribution function on prob in (0, 1).
 
     Splits at the mass (1 - eps)/2 carried by the negative half line; each
-    branch reduces to the Burr III quantile of a rescaled argument.
+    branch reduces to the Burr III quantile of a rescaled argument u.
+    That quantile is taken from -log u = -log1p(-(1 - u)), with 1 - u
+    formed from prob directly, so neither tail rounds through u = 1.
     """
     arr = np.asarray(prob, dtype=float)
     if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise DomainError("prob must lie strictly inside (0, 1)")
+    q = np.atleast_1d(arr)
     half_lo = 0.5 * (1.0 - p.eps)
-    at_split = arr == half_lo
-    pos = arr > half_lo
-    q = np.where(pos, (2.0 * arr - (1.0 - p.eps)) / (1.0 + p.eps), 1.0 - arr / half_lo)
-    core = burr3_quantile(Burr3Params(p.c, p.k), np.where(at_split, 0.5, q))
-    x = np.where(pos, (1.0 + p.eps) * core, -(1.0 - p.eps) * core)
-    x = np.where(at_split, 0.0, x)
-    return _maybe_scalar(p.mu + p.sigma * x, prob)
+    half_hi = 0.5 * (1.0 + p.eps)
+    pos = q > half_lo
+    # r = 1 - u on both branches, formed from prob without rounding through u
+    r = np.where(pos, 1.0 - q, q)
+    r /= np.where(pos, half_hi, half_lo)
+    # right of the split with u <= 1/2, u itself carries more digits than 1 - r
+    near_split = pos & (r >= 0.5)
+    u = np.subtract(q, half_lo)
+    u /= half_hi
+    # r = 1 at the split, where -log u = inf yields the quantile mu
+    with np.errstate(divide="ignore"):
+        neg_log_u = np.log1p(np.negative(r, out=r), out=r)
+    np.log(u, out=neg_log_u, where=near_split)
+    np.negative(neg_log_u, out=neg_log_u)
+    x = _quantile_from_neg_log(Burr3Params(p.c, p.k), neg_log_u)
+    x *= np.where(pos, 1.0 + p.eps, p.eps - 1.0)
+    x *= p.sigma
+    x += p.mu
+    return _maybe_scalar(x.reshape(arr.shape), prob)
 
 
 def sample(p, n, seed):

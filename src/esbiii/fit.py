@@ -62,7 +62,7 @@ from .errors import (
     NonConvergenceError,
     SmallSampleError,
 )
-from .special_math import find_root
+from .special_math import find_root, log1p_exp
 
 __all__ = [
     "COORD_NAMES",
@@ -115,6 +115,18 @@ def _data_resolution(x):
     return 0.5 * float(np.median(gaps))
 
 
+@dataclass(frozen=True)
+class _FlooredSample:
+    """The sample an ascent hands to solve_coordinate, with the fit's floor.
+
+    The floor depends on the data alone, so a fit computes it once instead
+    of re-sorting the data in every coordinate solve.
+    """
+
+    values: np.ndarray
+    floor: float
+
+
 def _loglik_arrays(x, mu, sigma, c, k, eps):
     n = x.size
     _, _, z = _split_sample(x, mu, sigma, eps)
@@ -128,7 +140,7 @@ def _loglik_arrays(x, mu, sigma, c, k, eps):
         # c*k = 1: tied points contribute exactly the constant term
         z = z[z > 0.0]
     lz = np.log(z)
-    return const - (c + 1.0) * lz.sum() - (k + 1.0) * np.logaddexp(0.0, -c * lz).sum()
+    return const - (c + 1.0) * lz.sum() - (k + 1.0) * log1p_exp(-c * lz).sum()
 
 
 def loglik(p, data):
@@ -151,21 +163,21 @@ def loglik(p, data):
     return float(val)
 
 
-def _tmix(z, c):
-    """1 / (1 + z**c), evaluated through logs so huge z**c cannot overflow."""
-    return np.exp(-np.logaddexp(0.0, c * np.log(z)))
+def _tmix(lz, c):
+    """1 / (1 + z**c) from lz = log z, through logs so huge z**c cannot overflow."""
+    return np.exp(-log1p_exp(c * lz))
 
 
 def _score_arrays(x, mu, sigma, c, k, eps):
     n = x.size
     d, s, z = _split_sample(x, mu, sigma, eps)
     lz = np.log(z)
-    t = np.exp(-np.logaddexp(0.0, c * lz))
+    t = _tmix(lz, c)
     ckp = c * (k + 1.0)
     g_mu = (((c + 1.0) - ckp * t) / d).sum()
     g_sigma = (n * c - ckp * t.sum()) / sigma
     g_c = n / c - lz.sum() + (k + 1.0) * (lz * t).sum()
-    g_k = n / k - np.logaddexp(0.0, -c * lz).sum()
+    g_k = n / k - log1p_exp(-c * lz).sum()
     g_eps = (((c + 1.0) - ckp * t) / (s + eps)).sum()
     return np.array([g_mu, g_sigma, g_c, g_k, g_eps])
 
@@ -191,13 +203,13 @@ def _work_score(x, mu, sigma, c, k, eps, floor):
     n = x.size
     d, s, z = _split_sample(x, mu, sigma, eps, floor)
     lz = np.log(z)
-    t = np.exp(-np.logaddexp(0.0, c * lz))
+    t = _tmix(lz, c)
     coef = (c + 1.0) - c * (k + 1.0) * t
     live = np.abs(d) > floor
     g_mu = (np.where(live, coef, 0.0) / np.where(live, d, 1.0)).sum()
     g_sigma = (n * c - c * (k + 1.0) * t.sum()) / sigma
     g_c = n / c - lz.sum() + (k + 1.0) * (lz * t).sum()
-    g_k = n / k - np.logaddexp(0.0, -c * lz).sum()
+    g_k = n / k - log1p_exp(-c * lz).sum()
     g_eps = (coef / (s + eps)).sum()
     return np.array([g_mu, g_sigma, g_c, g_k, g_eps])
 
@@ -237,7 +249,7 @@ def _fit_loglik(x, mu, sigma, c, k, eps, floor):
     return (
         n * math.log(c * k / (2.0 * sigma))
         - (c + 1.0) * lz.sum()
-        - (k + 1.0) * np.logaddexp(0.0, -c * lz).sum()
+        - (k + 1.0) * log1p_exp(-c * lz).sum()
     )
 
 
@@ -302,7 +314,7 @@ class FitResult:
 
 def _comp_mu(x, mu, sigma, c, k, eps, floor):
     d, _, z = _split_sample(x, mu, sigma, eps, floor)
-    t = _tmix(z, c)
+    t = _tmix(np.log(z), c)
     coef = (c + 1.0) - c * (k + 1.0) * t
     live = np.abs(d) > floor
     return float((np.where(live, coef, 0.0) / np.where(live, d, 1.0)).sum())
@@ -311,19 +323,19 @@ def _comp_mu(x, mu, sigma, c, k, eps, floor):
 def _comp_sigma_scaled(x, mu, sigma, c, k, eps, floor):
     # sigma * dl/dsigma = c * (n - (k+1) * sum 1/(1+z**c))
     _, _, z = _split_sample(x, mu, sigma, eps, floor)
-    return float(c * (x.size - (k + 1.0) * _tmix(z, c).sum()))
+    return float(c * (x.size - (k + 1.0) * _tmix(np.log(z), c).sum()))
 
 
 def _comp_c(x, mu, sigma, c, k, eps, floor):
     _, _, z = _split_sample(x, mu, sigma, eps, floor)
     lz = np.log(z)
-    t = np.exp(-np.logaddexp(0.0, c * lz))
+    t = _tmix(lz, c)
     return float(x.size / c - lz.sum() + (k + 1.0) * (lz * t).sum())
 
 
 def _comp_eps(x, mu, sigma, c, k, eps, floor):
     _, s, z = _split_sample(x, mu, sigma, eps, floor)
-    t = _tmix(z, c)
+    t = _tmix(np.log(z), c)
     return float((((c + 1.0) - c * (k + 1.0) * t) / (s + eps)).sum())
 
 
@@ -388,19 +400,24 @@ def solve_coordinate(p, which, data, cfg=None):
     matches the exact score whenever mu keeps the floor distance from all
     observations.  For mu with c*k < 1 the score equation has no root
     (dl/dmu has a pole at every observation), so the update instead
-    maximizes the working objective and returns its argmax.
+    maximizes the working objective and returns its argmax.  The floor is
+    computed from the data, unless the data come from a running fit that
+    carries it.
     """
     if which not in COORD_NAMES:
         raise DomainError(f"unknown coordinate {which!r}")
     x = np.asarray(data.values, dtype=float)
     n = x.size
     res_tol = 1e-9 * n
-    floor = _data_resolution(x)
+    if isinstance(data, _FlooredSample):
+        floor = data.floor
+    else:
+        floor = _data_resolution(x)
 
     if which == "k":
         # dl/dk = n/k - sum log(1 + z**-c) vanishes at exactly one k
         _, _, z = _split_sample(x, p.mu, p.sigma, p.eps, floor)
-        denom = np.logaddexp(0.0, -p.c * np.log(z)).sum()
+        denom = log1p_exp(-p.c * np.log(z)).sum()
         if not (denom > 0.0 and math.isfinite(denom)):
             raise NoBracketError("k update undefined for this configuration")
         return float(n / denom)
@@ -627,8 +644,12 @@ def _start_points(data, fixed_c):
     return starts
 
 
-def _ascend(x, data, p, cfg, floor, score_tol):
-    """One coordinate-ascent run from p; returns (p, ll, converged, cycles, trace)."""
+def _ascend(data, p, cfg, score_tol):
+    """One coordinate-ascent run from p; returns (p, ll, converged, cycles, trace).
+
+    data is the fit's _FlooredSample.
+    """
+    x, floor = data.values, data.floor
     ll = _fit_loglik(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
     if math.isnan(ll):
         raise DegenerateDataError("likelihood undefined at the starting point")
@@ -700,6 +721,7 @@ def fit_ml(data, cfg=None):
     if np.all(x == x[0]):
         raise DegenerateDataError("all observations identical")
     floor = _data_resolution(x)
+    floored = _FlooredSample(x, floor)
     score_tol = cfg.score_tol if cfg.score_tol is not None else 1e-5 * n
 
     if cfg.init is not None:
@@ -714,7 +736,7 @@ def fit_ml(data, cfg=None):
 
     best = None
     for s in starts:
-        p, ll, converged, cycle, trace = _ascend(x, data, s, cfg, floor, score_tol)
+        p, ll, converged, cycle, trace = _ascend(floored, s, cfg, score_tol)
         if best is None or ll > best[1]:
             best = (p, ll, converged, cycle, trace)
     p, ll, converged, cycle, trace = best

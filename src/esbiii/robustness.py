@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .fit import _tmix
 from .special_math import log1p_exp
 
 __all__ = [
@@ -61,7 +62,7 @@ def psi(p, which, x):
     s = np.where(arr > 0.0, 1.0, -1.0)
     w = s * arr / (1.0 + s * eps)
     lw = np.log(w)
-    t = np.exp(-np.logaddexp(0.0, c * lw))  # 1 / (1 + w**c)
+    t = _tmix(lw, c)  # 1 / (1 + w**c)
     if which == "mu":
         out = ((c + 1.0) - c * (k + 1.0) * t) / arr
     elif which == "sigma":
@@ -69,7 +70,7 @@ def psi(p, which, x):
     elif which == "c":
         out = 1.0 / c - lw + (k + 1.0) * lw * t
     elif which == "k":
-        out = 1.0 / k - np.logaddexp(0.0, -c * lw)
+        out = 1.0 / k - log1p_exp(-c * lw)
     else:
         out = s * ((c + 1.0) - c * (k + 1.0) * t) / (1.0 + s * eps)
     if np.ndim(x) == 0:

@@ -11,6 +11,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BracketError, DomainError, NonConvergenceError
 
 __all__ = [
@@ -74,7 +76,20 @@ def beta_fn(a, b):
 
 
 def log1p_exp(t):
-    """log(1 + exp(t)) without overflow for large |t|."""
+    """log(1 + exp(t)) without overflow for large |t|, for a scalar or an array.
+
+    An array of one or more dimensions goes through
+    max(t, 0) + log1p(exp(-|t|)) in place, which numpy vectorizes (its
+    logaddexp is a scalar loop); anything else returns a Python float.
+    """
+    if isinstance(t, np.ndarray) and t.ndim:
+        out = np.abs(t, dtype=float)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += np.maximum(t, 0.0)
+        return out
+    t = float(t)
     if t > 0.0:
         return t + math.log1p(math.exp(-t))
     return math.log1p(math.exp(t))

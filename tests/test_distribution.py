@@ -165,6 +165,33 @@ class TestQuantile:
         with pytest.raises(DomainError):
             quantile(Params(0.0, 1.0, 2.0, 1.0, 0.0), prob)
 
+    @staticmethod
+    def _smaller_tail(p, y):
+        """P(Y <= y) below mu, P(Y > y) above it, each without cancellation."""
+        if y < p.mu:
+            return cdf(p, y)
+        w = (y - p.mu) / (p.sigma * (1.0 + p.eps))
+        t = math.log1p(math.exp(-p.c * math.log(w)))  # log(1 + w**-c)
+        return 0.5 * (1.0 + p.eps) * -math.expm1(-p.k * t)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Params(0.3, 1.7, 5.0, 0.1, 0.2),
+            Params(0.0, 1.0, 5.0, 0.2, 0.4),
+            Params(1.0, 2.0, 2.0, 1.0, -0.3),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "prob", [1e-300, 1e-17, 1e-15, 1e-6, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]
+    )
+    def test_tails_keep_relative_accuracy(self, p, prob):
+        q = quantile(p, prob)
+        assert math.isfinite(q)
+        want = min(prob, 1.0 - prob)
+        assert abs(self._smaller_tail(p, q) - want) <= 1e-10 * want
+        assert quantile(p, np.array([prob]))[0] == q
+
 
 class TestSample:
     def test_deterministic(self):

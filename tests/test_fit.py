@@ -324,6 +324,35 @@ class TestFixedPointExit:
         assert lls[-1] > lls[0]
 
 
+class TestFloorOncePerFit:
+    @pytest.fixture
+    def resolution_calls(self, monkeypatch):
+        import esbiii.fit
+
+        calls = []
+        orig = esbiii.fit._data_resolution
+
+        def counted(x):
+            calls.append(x.size)
+            return orig(x)
+
+        monkeypatch.setattr(esbiii.fit, "_data_resolution", counted)
+        return calls
+
+    def test_default_fit_sorts_the_data_at_most_twice(self, resolution_calls):
+        # once in fit_ml, once in moment_init; never per coordinate solve
+        r = fit_ml(Dataset(sample(TRUTH, 200, seed=3)))
+        assert r.cycles >= 1
+        assert len(resolution_calls) <= 2
+
+    def test_public_solve_computes_the_floor_itself(self, resolution_calls):
+        data = Dataset(sample(TRUTH, 200, seed=3))
+        start = moment_init(data)
+        before = len(resolution_calls)
+        solve_coordinate(start, "k", data)
+        assert len(resolution_calls) == before + 1
+
+
 class TestFitConfig:
     @pytest.mark.parametrize(
         "kwargs",

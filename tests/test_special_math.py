@@ -1,11 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from esbiii.errors import BracketError, DomainError, NonConvergenceError
-from esbiii.special_math import beta_fn, find_root, finite_diff, integrate, ln_gamma
+from esbiii.special_math import (
+    beta_fn,
+    find_root,
+    finite_diff,
+    integrate,
+    ln_gamma,
+    log1p_exp,
+)
 
 
 class TestLnGamma:
@@ -141,3 +149,51 @@ class TestFiniteDiff:
     def test_non_finite_value_rejected(self):
         with pytest.raises(DomainError):
             finite_diff(lambda x: math.inf, 0.0, 1e-6)
+
+
+class TestLog1pExp:
+    @staticmethod
+    def _scalar_reference(t):
+        # the scalar formula: softplus by cases, no overflow for large |t|
+        if t > 0.0:
+            return t + math.log1p(math.exp(-t))
+        return math.log1p(math.exp(t))
+
+    def test_array_matches_logaddexp(self):
+        mag = np.geomspace(1e-300, 1e3, 4001)
+        v = np.concatenate([-mag[::-1], [0.0], mag])
+        np.testing.assert_allclose(log1p_exp(v), np.logaddexp(0.0, v), rtol=1e-15, atol=0.0)
+
+    def test_array_special_values(self):
+        out = log1p_exp(np.array([0.0, math.inf, -math.inf, math.nan]))
+        assert out[0] == math.log(2.0)
+        assert out[1] == math.inf
+        assert out[2] == 0.0
+        assert math.isnan(out[3])
+
+    def test_array_keeps_shape_and_input(self):
+        v = np.array([[-3.0, 0.5], [40.0, -800.0]])
+        before = v.copy()
+        out = log1p_exp(v)
+        assert out.shape == v.shape
+        assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize(
+        "t", [-800.0, -30.0, -1.0, -1e-300, 0.0, 1e-300, 0.5, 30.0, 800.0, math.inf, -math.inf]
+    )
+    def test_scalar_returns_float_of_scalar_formula(self, t):
+        for arg in (t, np.float64(t), np.array(t)):
+            out = log1p_exp(arg)
+            assert type(out) is float
+            assert out == self._scalar_reference(t)
+
+    def test_scalar_nan_propagates(self):
+        assert math.isnan(log1p_exp(math.nan))
+
+    def test_no_warnings_at_extremes(self):
+        extremes = [0.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 745.0, -745.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log1p_exp(np.array(extremes))
+            for t in extremes:
+                log1p_exp(t)
