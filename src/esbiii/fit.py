@@ -9,11 +9,17 @@ The fitter runs cyclic coordinate ascent in the order mu, sigma, c, k, eps.
 Each coordinate is updated by solving its score equation (k has a closed
 form); an update is kept only if the log-likelihood does not decrease, and
 a golden-section line search on the same coordinate takes over whenever
-the root step is unavailable or goes downhill.  A pattern step after each
-cycle extrapolates along the displacement the cycle produced, which cuts
-through the slow zigzag coordinate ascent suffers on the curved ridge that
-couples mu and eps.  All window and tolerance choices are relative, so
-fits commute with affine changes of the data.
+the root step is unavailable or goes downhill.  The mu, c and eps updates
+scan their score over a grid in one broadcast pass and refine a sign
+change by Brent's method.  For mu only brackets where the score falls
+through zero are refined: with mu increasing, a maximum can sit only
+there, while a rise marks a minimum or the upward jump of the floored
+score at the floor edge of an observation (see below); with no such
+bracket the line search takes over.  A pattern step after each cycle
+extrapolates along the displacement the cycle produced, which cuts through
+the slow zigzag coordinate ascent suffers on the curved ridge that couples
+mu and eps.  All window and tolerance choices are relative, so fits
+commute with affine changes of the data.
 
 When c*k < 1 the density diverges at every observation, so the exact
 likelihood has an integrable spike at each data point and its supremum
@@ -93,11 +99,15 @@ class StandardizedSample:
     z: np.ndarray
 
 
-def _split_sample(x, mu, sigma, eps, floor=0.0):
+def _fold(x, mu, floor=0.0):
+    """d = x - mu, its signs s (sign(0) = +1) and the floored |d|."""
     d = x - mu
-    s = np.where(d >= 0.0, 1.0, -1.0)
-    z = np.maximum(np.abs(d), floor) / (sigma * (1.0 + s * eps))
-    return d, s, z
+    return d, np.where(d >= 0.0, 1.0, -1.0), np.maximum(np.abs(d), floor)
+
+
+def _split_sample(x, mu, sigma, eps, floor=0.0):
+    d, s, mag = _fold(x, mu, floor)
+    return d, s, mag / (sigma * (1.0 + s * eps))
 
 
 def standardize(p, data):
@@ -119,12 +129,19 @@ def _data_resolution(x):
 class _FlooredSample:
     """The sample an ascent hands to solve_coordinate, with the fit's floor.
 
-    The floor depends on the data alone, so a fit computes it once instead
-    of re-sorting the data in every coordinate solve.
+    The floor and the 5-95% quantile spread (which sizes the mu scan)
+    depend on the data alone, so a fit computes them once instead of in
+    every coordinate solve.
     """
 
     values: np.ndarray
     floor: float
+    spread: float
+
+
+def _floored(x):
+    lo, hi = np.quantile(x, [0.05, 0.95])
+    return _FlooredSample(x, _data_resolution(x), float(hi - lo))
 
 
 def _loglik_arrays(x, mu, sigma, c, k, eps):
@@ -241,15 +258,15 @@ def _fit_loglik(x, mu, sigma, c, k, eps, floor):
 
     The exact log-likelihood with each |x_i - mu| floored; see the module
     docstring.  Agrees with the exact value to the last bit whenever
-    min |x_i - mu| >= floor.
+    min |x_i - mu| >= floor.  A column of mu nodes gives one value per node.
     """
     n = x.size
     _, _, z = _split_sample(x, mu, sigma, eps, floor)
     lz = np.log(z)
     return (
         n * math.log(c * k / (2.0 * sigma))
-        - (c + 1.0) * lz.sum()
-        - (k + 1.0) * log1p_exp(-c * lz).sum()
+        - (c + 1.0) * lz.sum(axis=-1)
+        - (k + 1.0) * log1p_exp(-c * lz).sum(axis=-1)
     )
 
 
@@ -309,58 +326,72 @@ class FitResult:
     trace: tuple[tuple[int, float], ...]
 
 
-# -- single score components of the working objective, cheap per scan node --
+# -- scan kernels: one score component at a column of nodes, evaluated as --
+# -- one (nodes, n) broadcast.  A single node gives the bits a grid gives. --
+
+_GRID_ELEMS = 1 << 13  # largest temporary of a grid pass: 64 KB of float64
 
 
-def _comp_mu(x, mu, sigma, c, k, eps, floor):
+def _on_grid(kernel, nodes, n):
+    """kernel at each node, in chunks of rows of at most _GRID_ELEMS elements.
+
+    Until a process frees a large block, glibc returns freed memory above
+    128 KiB to the system, so (8, 2000) chunks faulted in new pages on every
+    pass and ran slower than a loop over the nodes; 64 KB chunks never did.
+    """
+    col = np.asarray(nodes, dtype=float).reshape(-1, 1)
+    rows = max(1, _GRID_ELEMS // n)
+    return np.concatenate([kernel(col[i : i + rows]) for i in range(0, len(col), rows)])
+
+
+def _at(kernel, v):
+    """kernel at the single node v, as a float."""
+    return float(kernel(np.array([[v]]))[0])
+
+
+def _mu_score(x, mu, sigma, c, k, eps, floor):
     d, _, z = _split_sample(x, mu, sigma, eps, floor)
-    t = _tmix(np.log(z), c)
-    coef = (c + 1.0) - c * (k + 1.0) * t
+    coef = (c + 1.0) - c * (k + 1.0) * _tmix(np.log(z), c)
     live = np.abs(d) > floor
-    return float((np.where(live, coef, 0.0) / np.where(live, d, 1.0)).sum())
+    return (np.where(live, coef, 0.0) / np.where(live, d, 1.0)).sum(axis=-1)
 
 
-def _comp_sigma_scaled(x, mu, sigma, c, k, eps, floor):
-    # sigma * dl/dsigma = c * (n - (k+1) * sum 1/(1+z**c))
-    _, _, z = _split_sample(x, mu, sigma, eps, floor)
-    return float(c * (x.size - (k + 1.0) * _tmix(np.log(z), c).sum()))
+def _sigma_score_scaled(mag, w, c, k, sigma):
+    # sigma * dl/dsigma = c * (n - (k+1) * sum 1/(1+z**c)), z = mag / (sigma w)
+    return c * (mag.size - (k + 1.0) * _tmix(np.log(mag / (sigma * w)), c).sum(axis=-1))
 
 
-def _comp_c(x, mu, sigma, c, k, eps, floor):
-    _, _, z = _split_sample(x, mu, sigma, eps, floor)
-    lz = np.log(z)
-    t = _tmix(lz, c)
-    return float(x.size / c - lz.sum() + (k + 1.0) * (lz * t).sum())
+def _c_score(lz, lz_sum, k, c):
+    return lz.size / c[:, 0] - lz_sum + (k + 1.0) * (lz * _tmix(lz, c)).sum(axis=-1)
 
 
-def _comp_eps(x, mu, sigma, c, k, eps, floor):
-    _, s, z = _split_sample(x, mu, sigma, eps, floor)
-    t = _tmix(np.log(z), c)
-    return float((((c + 1.0) - c * (k + 1.0) * t) / (s + eps)).sum())
+def _eps_score(s, mag, sigma, c, k, eps):
+    z = mag / (sigma * (1.0 + s * eps))
+    coef = (c + 1.0) - c * (k + 1.0) * _tmix(np.log(z), c)
+    return (coef / (s + eps)).sum(axis=-1)
 
 
 def _brent_root(f, a, b, tol):
     return find_root(f, a, b, tol=tol, max_iter=200).root
 
 
-def _scan_brackets(xs, vals):
-    """Adjacent sign-change pairs (a, b) from a scan, plus exact zeros."""
+def _scan_brackets(xs, vals, falling=False):
+    """Adjacent sign-change pairs (a, b) from a scan, plus exact zeros.
+
+    With falling set, a pair is kept only where the values fall through
+    zero: vals(a) > 0 >= vals(b).
+    """
     pairs = []
     for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
         if not (math.isfinite(fa) and math.isfinite(fb)):
             continue
         if fa == 0.0:
             pairs.append((float(a), float(a)))
-        elif (fa > 0.0) != (fb > 0.0):
+        elif (fa > 0.0) != (fb > 0.0) and (fa > 0.0 or not falling):
             pairs.append((float(a), float(b)))
     if vals and math.isfinite(vals[-1]) and vals[-1] == 0.0:
         pairs.append((float(xs[-1]), float(xs[-1])))
     return pairs
-
-
-def _mu_window(x, sigma, eps):
-    lo, hi = np.quantile(x, [0.05, 0.95])
-    return max(4.0 * sigma * (1.0 + abs(eps)), float(hi - lo))
 
 
 def _eps_grid():
@@ -368,6 +399,9 @@ def _eps_grid():
     outer = 1.0 - np.geomspace(1e-8, 0.1, 8)[::-1]
     pos = np.concatenate([inner, outer])
     return np.concatenate([-pos[::-1], [0.0], pos])
+
+
+_EPS_GRID = np.clip(_eps_grid(), -1.0 + _EPS_EDGE, 1.0 - _EPS_EDGE)
 
 
 def _comb_mu_update(x, p, width, floor):
@@ -382,7 +416,7 @@ def _comb_mu_update(x, p, width, floor):
         return _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor)
 
     grid = p.mu + np.linspace(-width, width, 41)
-    vals = [f(float(m)) for m in grid]
+    vals = _on_grid(f, grid, x.size)
     i = int(np.argmax(vals))
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, grid.size - 1)])
@@ -393,31 +427,65 @@ def _comb_mu_update(x, p, width, floor):
 def solve_coordinate(p, which, data, cfg=None):
     """Solve the score equation for one coordinate, holding the others at p.
 
-    Returns the new coordinate value.  Raises NoBracketError when no sign
-    change of that score component can be located, and NonConvergenceError
-    if a bracketed solve stalls.  `which` is one of COORD_NAMES.  The
+    Returns the new coordinate value.  `which` is one of COORD_NAMES.  The
     score used is that of the resolution-floored working objective, which
     matches the exact score whenever mu keeps the floor distance from all
-    observations.  For mu with c*k < 1 the score equation has no root
-    (dl/dmu has a pole at every observation), so the update instead
-    maximizes the working objective and returns its argmax.  The floor is
-    computed from the data, unless the data come from a running fit that
-    carries it.
+    observations.  For mu with c*k >= 1 only scan brackets (a, b) where the
+    score falls through zero, g(a) > 0 >= g(b), are refined, since a
+    maximum can sit only there; the root with the best objective wins.
+    For mu with c*k < 1 the score equation has no root (dl/dmu has a pole
+    at every observation), so the update maximizes the working objective.
+
+    Raises NoBracketError when the scan finds no such sign change (for mu,
+    no falling one) or no mu bracket refines to a root, and
+    NonConvergenceError if a bracketed solve stalls.  The floor and the mu
+    window are computed from the data, unless the data come from a running
+    fit that carries them.
     """
     if which not in COORD_NAMES:
         raise DomainError(f"unknown coordinate {which!r}")
-    x = np.asarray(data.values, dtype=float)
+    if not isinstance(data, _FlooredSample):
+        data = _floored(np.asarray(data.values, dtype=float))
+    x, floor = data.values, data.floor
     n = x.size
     res_tol = 1e-9 * n
-    if isinstance(data, _FlooredSample):
-        floor = data.floor
-    else:
-        floor = _data_resolution(x)
+
+    if which == "mu":
+        # c*k < 1: direct search (no root exists); else refine falling brackets
+        width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread)
+        if p.c * p.k < 1.0:
+            return _comb_mu_update(x, p, width, floor)
+
+        def kern(m):
+            return _mu_score(x, m, p.sigma, p.c, p.k, p.eps, floor)
+
+        grid = (p.mu + np.linspace(-width, width, 41)).tolist()
+        pairs = _scan_brackets(grid, _on_grid(kern, grid, n).tolist(), falling=True)
+        if not pairs:
+            raise NoBracketError("no falling sign change of the mu score in the window")
+        tol_mu = res_tol / p.sigma
+        best_mu, best_ll = None, -math.inf
+        for a, b in pairs:
+            if a == b:
+                root = a
+            else:
+                try:
+                    root = _brent_root(lambda m: _at(kern, m), a, b, tol_mu)
+                except (BracketError, NonConvergenceError):
+                    continue
+            ll = _fit_loglik(x, root, p.sigma, p.c, p.k, p.eps, floor)
+            if ll > best_ll:
+                best_mu, best_ll = root, ll
+        if best_mu is None:
+            raise NoBracketError("mu score brackets did not refine to a root")
+        return float(best_mu)
+
+    _, s, mag = _fold(x, p.mu, floor)
+    w = 1.0 + s * p.eps
 
     if which == "k":
         # dl/dk = n/k - sum log(1 + z**-c) vanishes at exactly one k
-        _, _, z = _split_sample(x, p.mu, p.sigma, p.eps, floor)
-        denom = log1p_exp(-p.c * np.log(z)).sum()
+        denom = log1p_exp(-p.c * np.log(mag / (p.sigma * w))).sum()
         if not (denom > 0.0 and math.isfinite(denom)):
             raise NoBracketError("k update undefined for this configuration")
         return float(n / denom)
@@ -425,7 +493,9 @@ def solve_coordinate(p, which, data, cfg=None):
     if which == "sigma":
         # strictly decreasing in log sigma, so one-sided expansion suffices
         def g(ls):
-            return _comp_sigma_scaled(x, p.mu, math.exp(ls), p.c, p.k, p.eps, floor)
+            return _at(
+                lambda sg: _sigma_score_scaled(mag, w, p.c, p.k, sg), math.exp(ls)
+            )
 
         ls0 = math.log(p.sigma)
         g0 = g(ls0)
@@ -444,66 +514,35 @@ def solve_coordinate(p, which, data, cfg=None):
         raise NoBracketError("sigma score has no sign change in range")
 
     if which == "c":
+        lz = np.log(mag / (p.sigma * w))
+        lz_sum = lz.sum()
 
-        def g(lc):
-            return _comp_c(x, p.mu, p.sigma, math.exp(lc), p.k, p.eps, floor)
+        def kern(c):
+            return _c_score(lz, lz_sum, p.k, c)
 
         lc0 = math.log(p.c)
         offsets = (-16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
         grid = [lc0 + o for o in offsets]
-        pairs = _scan_brackets(grid, [g(v) for v in grid])
+        vals = _on_grid(kern, [math.exp(v) for v in grid], n)
+        pairs = _scan_brackets(grid, vals.tolist())
         if not pairs:
             raise NoBracketError("c score has no sign change in the scan range")
         a, b = min(pairs, key=lambda ab: min(abs(ab[0] - lc0), abs(ab[1] - lc0)))
         if a == b:
             return math.exp(a)
-        return math.exp(_brent_root(g, a, b, res_tol))
+        return math.exp(_brent_root(lambda lc: _at(kern, math.exp(lc)), a, b, res_tol))
 
-    if which == "eps":
+    def kern(e):
+        return _eps_score(s, mag, p.sigma, p.c, p.k, e)
 
-        def g(e):
-            return _comp_eps(x, p.mu, p.sigma, p.c, p.k, e, floor)
-
-        grid = np.clip(_eps_grid(), -1.0 + _EPS_EDGE, 1.0 - _EPS_EDGE)
-        grid = np.unique(np.append(grid, p.eps)).tolist()
-        pairs = _scan_brackets(grid, [g(v) for v in grid])
-        if not pairs:
-            raise NoBracketError("eps score has no sign change in (-1, 1)")
-        a, b = min(pairs, key=lambda ab: min(abs(ab[0] - p.eps), abs(ab[1] - p.eps)))
-        if a == b:
-            return a
-        return _brent_root(g, a, b, res_tol)
-
-    # mu.  With c*k < 1: direct search (no root exists).  Otherwise scan a
-    # symmetric window for sign changes of the working mu score, refine
-    # each bracket, and keep the root with the best likelihood.
-    width = _mu_window(x, p.sigma, p.eps)
-    if p.c * p.k < 1.0:
-        return _comb_mu_update(x, p, width, floor)
-
-    def g(m):
-        return _comp_mu(x, m, p.sigma, p.c, p.k, p.eps, floor)
-
-    grid = (p.mu + np.linspace(-width, width, 41)).tolist()
-    pairs = _scan_brackets(grid, [g(v) for v in grid])
+    grid = np.unique(np.append(_EPS_GRID, p.eps)).tolist()
+    pairs = _scan_brackets(grid, _on_grid(kern, grid, n).tolist())
     if not pairs:
-        raise NoBracketError("mu score has no sign change in the scan window")
-    tol_mu = res_tol / p.sigma
-    best_mu, best_ll = None, -math.inf
-    for a, b in pairs:
-        if a == b:
-            root = a
-        else:
-            try:
-                root = _brent_root(g, a, b, tol_mu)
-            except (BracketError, NonConvergenceError):
-                continue
-        ll = _fit_loglik(x, root, p.sigma, p.c, p.k, p.eps, floor)
-        if ll > best_ll:
-            best_mu, best_ll = root, ll
-    if best_mu is None:
-        raise NoBracketError("mu score brackets did not refine to a root")
-    return float(best_mu)
+        raise NoBracketError("eps score has no sign change in (-1, 1)")
+    a, b = min(pairs, key=lambda ab: min(abs(ab[0] - p.eps), abs(ab[1] - p.eps)))
+    if a == b:
+        return a
+    return _brent_root(lambda e: _at(kern, e), a, b, res_tol)
 
 
 _INIT_SHAPE_GRID = ((2.0, 1.0), (5.0, 0.2), (1.5, 3.0), (20.0, 0.2))
@@ -720,8 +759,8 @@ def fit_ml(data, cfg=None):
         raise SmallSampleError(f"need at least {_MIN_N} observations, got {n}")
     if np.all(x == x[0]):
         raise DegenerateDataError("all observations identical")
-    floor = _data_resolution(x)
-    floored = _FlooredSample(x, floor)
+    floored = _floored(x)
+    floor = floored.floor
     score_tol = cfg.score_tol if cfg.score_tol is not None else 1e-5 * n
 
     if cfg.init is not None:

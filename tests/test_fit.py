@@ -18,10 +18,12 @@ from esbiii import (
     standardize,
 )
 from esbiii.errors import (
+    BracketError,
     DegenerateDataError,
     DensityLimitWarning,
     DomainError,
     NoBracketError,
+    NonConvergenceError,
     SmallSampleError,
 )
 from esbiii.fit import COORD_NAMES
@@ -351,6 +353,137 @@ class TestFloorOncePerFit:
         before = len(resolution_calls)
         solve_coordinate(start, "k", data)
         assert len(resolution_calls) == before + 1
+
+
+class TestGridKernels:
+    """Each scan grid is one broadcast pass; a node alone must give its bits."""
+
+    P = Params(0.1, 1.3, 2.0, 1.0, -0.3)
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        from esbiii.fit import _data_resolution, _fold
+
+        # n = 2000 splits every grid below into several row chunks
+        x = sample(self.P, 2000, seed=5)
+        floor = _data_resolution(x)
+        _, s, mag = _fold(x, self.P.mu, floor)
+        return x, floor, s, mag, 1.0 + s * self.P.eps
+
+    @staticmethod
+    def _check(kernel, nodes, n):
+        from esbiii.fit import _at, _on_grid
+
+        grid = _on_grid(kernel, nodes, n)
+        assert grid.shape == (len(nodes),)
+        assert np.array_equal(grid, [_at(kernel, v) for v in nodes])
+        return grid
+
+    def _work(self, x, floor, **kw):
+        from esbiii.fit import _work_score
+
+        q = replace(self.P, **kw)
+        return _work_score(x, q.mu, q.sigma, q.c, q.k, q.eps, floor)
+
+    def test_mu_score_and_objective(self, parts):
+        from esbiii.fit import _fit_loglik, _mu_score
+
+        x, floor, *_ = parts
+        p = self.P
+        # an observation, points inside its floor, and ordinary nodes
+        obs = float(x[7])
+        nodes = [obs, obs + 0.5 * floor, obs - 0.9 * floor, *np.linspace(-3, 3, 20)]
+        g = self._check(
+            lambda m: _mu_score(x, m, p.sigma, p.c, p.k, p.eps, floor), nodes, x.size
+        )
+        assert g.tolist() == [self._work(x, floor, mu=m)[0] for m in nodes]
+        ll = self._check(
+            lambda m: _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor), nodes, x.size
+        )
+        assert ll.tolist() == [
+            _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor) for m in nodes
+        ]
+
+    def test_eps_score(self, parts):
+        from esbiii.fit import _EPS_GRID, _eps_score
+
+        x, floor, s, mag, _ = parts
+        p = self.P
+        nodes = [-(1.0 - 1e-9), *_EPS_GRID.tolist(), 1.0 - 1e-9]
+        g = self._check(
+            lambda e: _eps_score(s, mag, p.sigma, p.c, p.k, e), nodes, x.size
+        )
+        assert g.tolist() == [self._work(x, floor, eps=e)[4] for e in nodes]
+
+    def test_c_score(self, parts):
+        from esbiii.fit import _c_score
+
+        x, floor, _, mag, w = parts
+        p = self.P
+        lz = np.log(mag / (p.sigma * w))
+        offsets = (-16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+        nodes = [math.exp(math.log(p.c) + o) for o in offsets]
+        g = self._check(lambda c: _c_score(lz, lz.sum(), p.k, c), nodes, x.size)
+        assert g.tolist() == [self._work(x, floor, c=c)[2] for c in nodes]
+
+    def test_sigma_score(self, parts):
+        from esbiii.fit import _sigma_score_scaled
+
+        x, floor, _, mag, w = parts
+        p = self.P
+        steps = (-8.0, -1.0, -0.25, 0.0, 0.5, 2.0, 16.0)
+        nodes = [p.sigma * math.exp(t) for t in steps]
+        g = self._check(
+            lambda sg: _sigma_score_scaled(mag, w, p.c, p.k, sg), nodes, x.size
+        )
+        # the same score component as the working score, scaled by sigma
+        want = [sg * self._work(x, floor, sigma=sg)[1] for sg in nodes]
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-9 * x.size)
+
+
+class TestFallingMuBrackets:
+    """Counters only: the mu update refines no bracket that cannot hold a maximum."""
+
+    def test_no_mu_refinement_fails(self, monkeypatch):
+        import esbiii.fit
+        from esbiii.fit import _data_resolution, _fit_loglik
+
+        coord = []
+        calls = []  # (g(lo), raised) of every mu refinement
+        solve, root = esbiii.fit.solve_coordinate, esbiii.fit.find_root
+
+        def traced_solve(p, which, data, cfg=None):
+            coord.append(which)
+            return solve(p, which, data, cfg)
+
+        def traced_root(g, lo, hi, **kw):
+            if coord[-1] != "mu":
+                return root(g, lo, hi, **kw)
+            g_lo = g(lo)
+            try:
+                res = root(g, lo, hi, **kw)
+            except (BracketError, NonConvergenceError):
+                calls.append((g_lo, True))
+                raise
+            calls.append((g_lo, False))
+            return res
+
+        monkeypatch.setattr(esbiii.fit, "solve_coordinate", traced_solve)
+        monkeypatch.setattr(esbiii.fit, "find_root", traced_root)
+        data = Dataset(sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 200, seed=1))
+        r = fit_ml(data)
+        assert calls
+        assert [c for c in calls if c[1]] == []
+        assert all(g_lo > 0.0 for g_lo, _ in calls)
+        # the returned mu is a local maximum of the working objective
+        p, floor = r.params, _data_resolution(data.values)
+        ll = _fit_loglik(data.values, p.mu, p.sigma, p.c, p.k, p.eps, floor)
+        assert ll == r.loglik
+        for step in (-1e-6 * p.sigma, 1e-6 * p.sigma):
+            moved = _fit_loglik(
+                data.values, p.mu + step, p.sigma, p.c, p.k, p.eps, floor
+            )
+            assert moved - ll <= 1e-9 * abs(ll)
 
 
 class TestFitConfig:
