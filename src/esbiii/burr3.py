@@ -65,6 +65,16 @@ def _maybe_scalar(out, template):
     return out
 
 
+def _log_density(log_const, c, k, log_z):
+    """log_const - (c+1) log z - (k+1) log(1 + z**-c), from log z.
+
+    The one per-point log density of the package: with log_const =
+    log(c*k) it is the Burr III log density, and the epsilon-skew family
+    evaluates it at its folded variable with its own constant.
+    """
+    return log_const - (c + 1.0) * log_z - (k + 1.0) * log1p_exp(-c * log_z)
+
+
 def burr3_pdf(p, z):
     """Density g(z) = c*k * z**-(c+1) * (1 + z**-c)**-(k+1) for z > 0.
 
@@ -72,12 +82,7 @@ def burr3_pdf(p, z):
     power-law tail.  Accepts a scalar or an array.
     """
     arr = _positive_array(z, "z")
-    logz = np.log(arr)
-    logpdf = (
-        np.log(p.c * p.k)
-        - (p.c + 1.0) * logz
-        - (p.k + 1.0) * log1p_exp(-p.c * logz)
-    )
+    logpdf = _log_density(np.log(p.c * p.k), p.c, p.k, np.log(arr))
     return _maybe_scalar(np.exp(logpdf), z)
 
 

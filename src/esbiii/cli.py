@@ -25,14 +25,7 @@ import numpy as np
 from . import __version__
 from .burr3 import RNG_ALGORITHM
 from .distribution import Params, cdf, pdf, quantile, sample
-from .errors import (
-    BracketError,
-    DegenerateDataError,
-    DomainError,
-    EsbError,
-    NonConvergenceError,
-    ParseError,
-)
+from .errors import DegenerateDataError, EsbError, NonConvergenceError, ParseError
 from .fit import FitConfig, fit_ml, loglik
 from .gof import KS_PVALUE_CAVEAT, Dataset, ModelFit, compare_models, ecdf
 from .robustness import PSI_NAMES, build_score_report
@@ -392,9 +385,11 @@ def cmd_gof(args):
                 fitdoc = json.load(fh)
             pd = fitdoc["params"]
             p = Params(mu=pd["mu"], sigma=pd["sigma"], c=pd["c"], k=pd["k"], eps=pd["eps"])
-            free = int(fitdoc.get("free_params", 5))
+            free = fitdoc.get("free_params", 5)
         except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read fit result {args.fit_result}: {exc}") from exc
+        if type(free) is not int or free < 1:
+            raise ParseError(f"free_params must be a positive integer, got {free!r}")
     ll = loglik(p, data)
     config = {
         "input": args.input,
@@ -514,9 +509,6 @@ def main(argv=None):
     except NonConvergenceError as exc:
         print(f"esbiii: error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (DomainError, BracketError) as exc:
-        print(f"esbiii: error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except EsbError as exc:
         print(f"esbiii: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -10,8 +10,9 @@ with sign(0) taken as +1:
 
     f(y) = c*k / (2*sigma) * w**-(c+1) * (1 + w**-c)**-(k+1)
 
-The same w appears in the distribution function, the score equations and
-the influence diagnostics, so the helpers here are shared widely.
+log f is the Burr III log-density kernel of :mod:`esbiii.burr3` taken at
+w with the constant log(c*k / (2*sigma)); the influence diagnostics use
+the same kernel, and the fitter sums its terms over the sample.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burr3 import Burr3Params, _quantile_from_neg_log, burr3_quantile
+from .burr3 import (
+    Burr3Params,
+    _log_density,
+    _maybe_scalar,
+    _quantile_from_neg_log,
+    burr3_quantile,
+)
 from .errors import DensityLimitWarning, DomainError, MomentDoesNotExistError
 from .special_math import beta_fn, ln_gamma, log1p_exp
 
@@ -50,7 +57,6 @@ __all__ = [
     "variance",
 ]
 
-_TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 _LOG_HUGE = math.log(sys.float_info.max)
 
@@ -70,10 +76,7 @@ class Params:
             raise DomainError(f"mu must be finite, got {self.mu}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise DomainError(f"c must be positive, got {self.c}")
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise DomainError(f"k must be positive, got {self.k}")
+        Burr3Params(self.c, self.k)  # validates the shapes
         if not (-1.0 < self.eps < 1.0):
             raise DomainError(f"eps must lie in (-1, 1), got {self.eps}")
 
@@ -147,20 +150,9 @@ def _split(y, p):
     return x, w, w == 0.0
 
 
-def _maybe_scalar(out, template):
-    if np.ndim(template) == 0:
-        return float(out)
-    return out
-
-
 def _log_density_core(w, p):
     """log f at points with w > 0 (the caller masks w == 0)."""
-    logw = np.log(w)
-    return (
-        math.log(p.c * p.k / (2.0 * p.sigma))
-        - (p.c + 1.0) * logw
-        - (p.k + 1.0) * log1p_exp(-p.c * logw)
-    )
+    return _log_density(math.log(p.c * p.k / (2.0 * p.sigma)), p.c, p.k, np.log(w))
 
 
 def _origin_log_density(p):
@@ -277,10 +269,13 @@ def sample(p, n, seed):
     u = rng.random(int(n))
     u = np.where(u == 0.0, 2.0**-53, u)
     z = burr3_quantile(Burr3Params(p.c, p.k), u)
-    z = np.where(z == 0.0, _TINY, z)  # guard against quantile underflow
     v = rng.random(int(n))
     u_mix = np.where(v < 0.5 * (1.0 + p.eps), 1.0 + p.eps, -(1.0 - p.eps))
-    return p.mu + p.sigma * z * u_mix
+    y = p.mu + p.sigma * z * u_mix
+    # a tiny sigma*z*u rounds onto mu; step one ulp to the side of its sign
+    on_mu = y == p.mu
+    y[on_mu] = np.nextafter(p.mu, np.copysign(np.inf, u_mix[on_mu]))
+    return y
 
 
 def _standard_raw_moment(c, k, eps, r):
@@ -318,11 +313,8 @@ def variance(p):
     """Var(Y) = sigma**2 * (E(X**2) - E(X)**2); exists for c > 2."""
     if p.c <= 2.0:
         raise MomentDoesNotExistError(f"variance requires c > 2, got c = {p.c}")
-    b2 = beta_fn(1.0 - 2.0 / p.c, 2.0 / p.c + p.k)
-    b1 = beta_fn(1.0 - 1.0 / p.c, 1.0 / p.c + p.k)
-    e = p.eps
-    core = 0.5 * p.k * b2 * (2.0 + 6.0 * e * e) - p.k * p.k * b1 * b1 * 4.0 * e * e
-    return p.sigma * p.sigma * core
+    m1, m2 = (_standard_raw_moment(p.c, p.k, p.eps, r) for r in (1, 2))
+    return p.sigma * p.sigma * (m2 - m1 * m1)
 
 
 def shape_stats(p):

@@ -145,19 +145,20 @@ def _floored(x):
 
 
 def _loglik_arrays(x, mu, sigma, c, k, eps):
-    n = x.size
-    _, _, z = _split_sample(x, mu, sigma, eps)
-    const = n * math.log(c * k / (2.0 * sigma))
-    if np.any(z == 0.0):
-        ck = c * k
-        if ck > 1.0:
-            return -math.inf
-        if ck < 1.0:
-            return math.inf
-        # c*k = 1: tied points contribute exactly the constant term
-        z = z[z > 0.0]
-    lz = np.log(z)
-    return const - (c + 1.0) * lz.sum() - (k + 1.0) * log1p_exp(-c * lz).sum()
+    # z = 0 (a point at mu, or so close that z underflows) makes the sum nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = _fit_loglik(x, mu, sigma, c, k, eps, 0.0)
+    if not math.isnan(ll):
+        return ll
+    ck = c * k
+    if ck > 1.0:
+        return -math.inf
+    if ck < 1.0:
+        return math.inf
+    # c*k = 1: tied points contribute exactly the constant term
+    rest = x[_split_sample(x, mu, sigma, eps)[2] > 0.0]
+    const = math.log(ck / (2.0 * sigma))
+    return (x.size - rest.size) * const + _fit_loglik(rest, mu, sigma, c, k, eps, 0.0)
 
 
 def loglik(p, data):
@@ -185,20 +186,6 @@ def _tmix(lz, c):
     return np.exp(-log1p_exp(c * lz))
 
 
-def _score_arrays(x, mu, sigma, c, k, eps):
-    n = x.size
-    d, s, z = _split_sample(x, mu, sigma, eps)
-    lz = np.log(z)
-    t = _tmix(lz, c)
-    ckp = c * (k + 1.0)
-    g_mu = (((c + 1.0) - ckp * t) / d).sum()
-    g_sigma = (n * c - ckp * t.sum()) / sigma
-    g_c = n / c - lz.sum() + (k + 1.0) * (lz * t).sum()
-    g_k = n / k - log1p_exp(-c * lz).sum()
-    g_eps = (((c + 1.0) - ckp * t) / (s + eps)).sum()
-    return np.array([g_mu, g_sigma, g_c, g_k, g_eps])
-
-
 def score(p, data):
     """Score vector (d l / d mu, d sigma, d c, d k, d eps) at p.
 
@@ -207,7 +194,7 @@ def score(p, data):
     x = np.asarray(data.values, dtype=float)
     if np.any(x == p.mu):
         raise DomainError("score is undefined with a data point exactly at mu")
-    return _score_arrays(x, p.mu, p.sigma, p.c, p.k, p.eps)
+    return _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)
 
 
 def _work_score(x, mu, sigma, c, k, eps, floor):
@@ -215,19 +202,25 @@ def _work_score(x, mu, sigma, c, k, eps, floor):
 
     Points inside the floor contribute a constant to the objective, hence
     nothing to the mu component; the other components use the floored z.
-    Identical to the exact score when mu is off-floor for every point.
+    Identical to the exact score when mu is off-floor for every point, and
+    floor = 0 gives the exact score.
     """
     n = x.size
-    d, s, z = _split_sample(x, mu, sigma, eps, floor)
-    lz = np.log(z)
+    d, s, mag = _fold(x, mu, floor)
+    lz = np.log(mag / (sigma * (1.0 + s * eps)))
+    # each term is summed as soon as it is formed, in an order that keeps few
+    # 8 MB temporaries alive at n = 1e6, where each one costs page faults
+    g_k = n / k - log1p_exp(-c * lz).sum()
     t = _tmix(lz, c)
-    coef = (c + 1.0) - c * (k + 1.0) * t
-    live = np.abs(d) > floor
-    g_mu = (np.where(live, coef, 0.0) / np.where(live, d, 1.0)).sum()
     g_sigma = (n * c - c * (k + 1.0) * t.sum()) / sigma
     g_c = n / c - lz.sum() + (k + 1.0) * (lz * t).sum()
-    g_k = n / k - log1p_exp(-c * lz).sum()
+    coef = np.multiply(t, -c * (k + 1.0), out=t)  # (c+1) - c(k+1) t, in t's buffer
+    coef += c + 1.0
     g_eps = (coef / (s + eps)).sum()
+    dead = mag <= floor  # points on the floor add nothing to the mu component
+    coef[dead] = 0.0
+    d[dead] = 1.0
+    g_mu = (coef / d).sum()
     return np.array([g_mu, g_sigma, g_c, g_k, g_eps])
 
 
@@ -350,9 +343,9 @@ def _at(kernel, v):
 
 
 def _mu_score(x, mu, sigma, c, k, eps, floor):
-    d, _, z = _split_sample(x, mu, sigma, eps, floor)
-    coef = (c + 1.0) - c * (k + 1.0) * _tmix(np.log(z), c)
-    live = np.abs(d) > floor
+    d, s, mag = _fold(x, mu, floor)
+    coef = (c + 1.0) - c * (k + 1.0) * _tmix(np.log(mag / (sigma * (1.0 + s * eps))), c)
+    live = mag > floor
     return (np.where(live, coef, 0.0) / np.where(live, d, 1.0)).sum(axis=-1)
 
 
@@ -394,6 +387,23 @@ def _scan_brackets(xs, vals, falling=False):
     return pairs
 
 
+def _nearest_root(kern, grid, v0, n, tol, what, node=lambda v: v):
+    """Root in v of kern(node(v)), refined from a scan over grid.
+
+    Brent's method runs on the scan's sign change nearest v0; an exact
+    zero on the grid is returned as it is.  Raises NoBracketError(what)
+    when the scan finds no sign change.
+    """
+    vals = _on_grid(kern, [node(v) for v in grid], n)
+    pairs = _scan_brackets(grid, vals.tolist())
+    if not pairs:
+        raise NoBracketError(what)
+    a, b = min(pairs, key=lambda ab: min(abs(ab[0] - v0), abs(ab[1] - v0)))
+    if a == b:
+        return a
+    return _brent_root(lambda v: _at(kern, node(v)), a, b, tol)
+
+
 def _eps_grid():
     inner = np.linspace(0.05, 0.8, 16)
     outer = 1.0 - np.geomspace(1e-8, 0.1, 8)[::-1]
@@ -404,8 +414,8 @@ def _eps_grid():
 _EPS_GRID = np.clip(_eps_grid(), -1.0 + _EPS_EDGE, 1.0 - _EPS_EDGE)
 
 
-def _comb_mu_update(x, p, width, floor):
-    """Best mu in the c*k < 1 regime: value scan plus golden refinement.
+def _comb_mu_update(x, p, grid, floor):
+    """Best mu in the c*k < 1 regime: a value scan over grid, then golden refinement.
 
     In that regime the exact mu score has a pole at every data point and
     the likelihood equation no root, so the update maximizes the working
@@ -415,7 +425,6 @@ def _comb_mu_update(x, p, width, floor):
     def f(m):
         return _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor)
 
-    grid = p.mu + np.linspace(-width, width, 41)
     vals = _on_grid(f, grid, x.size)
     i = int(np.argmax(vals))
     lo = float(grid[max(i - 1, 0)])
@@ -453,14 +462,15 @@ def solve_coordinate(p, which, data, cfg=None):
     if which == "mu":
         # c*k < 1: direct search (no root exists); else refine falling brackets
         width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread)
+        grid = p.mu + np.linspace(-width, width, 41)
         if p.c * p.k < 1.0:
-            return _comb_mu_update(x, p, width, floor)
+            return _comb_mu_update(x, p, grid, floor)
 
         def kern(m):
             return _mu_score(x, m, p.sigma, p.c, p.k, p.eps, floor)
 
-        grid = (p.mu + np.linspace(-width, width, 41)).tolist()
-        pairs = _scan_brackets(grid, _on_grid(kern, grid, n).tolist(), falling=True)
+        vals = _on_grid(kern, grid, n).tolist()
+        pairs = _scan_brackets(grid.tolist(), vals, falling=True)
         if not pairs:
             raise NoBracketError("no falling sign change of the mu score in the window")
         tol_mu = res_tol / p.sigma
@@ -522,27 +532,16 @@ def solve_coordinate(p, which, data, cfg=None):
 
         lc0 = math.log(p.c)
         offsets = (-16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+        msg = "c score has no sign change in the scan range"
         grid = [lc0 + o for o in offsets]
-        vals = _on_grid(kern, [math.exp(v) for v in grid], n)
-        pairs = _scan_brackets(grid, vals.tolist())
-        if not pairs:
-            raise NoBracketError("c score has no sign change in the scan range")
-        a, b = min(pairs, key=lambda ab: min(abs(ab[0] - lc0), abs(ab[1] - lc0)))
-        if a == b:
-            return math.exp(a)
-        return math.exp(_brent_root(lambda lc: _at(kern, math.exp(lc)), a, b, res_tol))
+        return math.exp(_nearest_root(kern, grid, lc0, n, res_tol, msg, math.exp))
 
     def kern(e):
         return _eps_score(s, mag, p.sigma, p.c, p.k, e)
 
     grid = np.unique(np.append(_EPS_GRID, p.eps)).tolist()
-    pairs = _scan_brackets(grid, _on_grid(kern, grid, n).tolist())
-    if not pairs:
-        raise NoBracketError("eps score has no sign change in (-1, 1)")
-    a, b = min(pairs, key=lambda ab: min(abs(ab[0] - p.eps), abs(ab[1] - p.eps)))
-    if a == b:
-        return a
-    return _brent_root(lambda e: _at(kern, e), a, b, res_tol)
+    msg = "eps score has no sign change in (-1, 1)"
+    return _nearest_root(kern, grid, p.eps, n, res_tol, msg)
 
 
 _INIT_SHAPE_GRID = ((2.0, 1.0), (5.0, 0.2), (1.5, 3.0), (20.0, 0.2))
@@ -684,9 +683,10 @@ def _start_points(data, fixed_c):
 
 
 def _ascend(data, p, cfg, score_tol):
-    """One coordinate-ascent run from p; returns (p, ll, converged, cycles, trace).
+    """One coordinate-ascent run from p.
 
-    data is the fit's _FlooredSample.
+    data is the fit's _FlooredSample.  Returns (p, ll, converged, cycles,
+    trace, norm), norm being the scaled working-score norm at the final p.
     """
     x, floor = data.values, data.floor
     ll = _fit_loglik(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
@@ -735,7 +735,7 @@ def _ascend(data, p, cfg, score_tol):
             # fixed point of the cycle: every later cycle would repeat this one
             _log.debug("cycle %d: fixed point at loglik %.17g", cycle, ll)
             break
-    return p, ll, converged, cycle, trace
+    return p, ll, converged, cycle, trace, norm
 
 
 def fit_ml(data, cfg=None):
@@ -757,10 +757,7 @@ def fit_ml(data, cfg=None):
     n = x.size
     if n < _MIN_N:
         raise SmallSampleError(f"need at least {_MIN_N} observations, got {n}")
-    if np.all(x == x[0]):
-        raise DegenerateDataError("all observations identical")
-    floored = _floored(x)
-    floor = floored.floor
+    floored = _floored(x)  # raises DegenerateDataError for constant data
     score_tol = cfg.score_tol if cfg.score_tol is not None else 1e-5 * n
 
     if cfg.init is not None:
@@ -775,18 +772,10 @@ def fit_ml(data, cfg=None):
 
     best = None
     for s in starts:
-        p, ll, converged, cycle, trace = _ascend(floored, s, cfg, score_tol)
-        if best is None or ll > best[1]:
-            best = (p, ll, converged, cycle, trace)
-    p, ll, converged, cycle, trace = best
-
-    g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
-    norm = _scaled_score_norm(
-        g,
-        p,
-        include_mu=not _mu_pinned(x, p.mu, floor),
-        include_c=cfg.fixed_c is None,
-    )
+        run = _ascend(floored, s, cfg, score_tol)
+        if best is None or run[1] > best[1]:
+            best = run
+    p, ll, converged, cycle, trace, norm = best
     free = 4 if cfg.fixed_c is not None else 5
     return FitResult(
         params=p,

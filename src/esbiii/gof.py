@@ -8,6 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .burr3 import _maybe_scalar
 from .errors import DomainError
 
 __all__ = [
@@ -72,10 +73,7 @@ def ecdf(data, y):
     Right-continuous step function; accepts a scalar or an array.
     """
     counts = np.searchsorted(data.sorted_values, np.asarray(y, dtype=float), side="right")
-    out = counts / data.n
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    return _maybe_scalar(counts / data.n, y)
 
 
 def _model_cdf_values(data, model_cdf):

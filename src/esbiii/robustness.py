@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .burr3 import _log_density, _maybe_scalar
 from .errors import DomainError
-from .fit import _tmix
+from .fit import COORD_NAMES, _split_sample, _tmix
 from .special_math import log1p_exp
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
     "rho_conditions",
 ]
 
-PSI_NAMES = ("mu", "sigma", "c", "k", "eps")
+PSI_NAMES = COORD_NAMES
 
 _PROBE_NEAR = 1.0e6
 _PROBE_FAR = 1.0e8
@@ -59,8 +60,7 @@ def psi(p, which, x):
     if arr.size and (np.any(arr == 0.0) or not np.all(np.isfinite(arr))):
         raise DomainError("psi requires finite x != 0")
     c, k, eps = p.c, p.k, p.eps
-    s = np.where(arr > 0.0, 1.0, -1.0)
-    w = s * arr / (1.0 + s * eps)
+    _, s, w = _split_sample(arr, 0.0, 1.0, eps)
     lw = np.log(w)
     t = _tmix(lw, c)  # 1 / (1 + w**c)
     if which == "mu":
@@ -73,9 +73,7 @@ def psi(p, which, x):
         out = 1.0 / k - log1p_exp(-c * lw)
     else:
         out = s * ((c + 1.0) - c * (k + 1.0) * t) / (1.0 + s * eps)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _maybe_scalar(out, x)
 
 
 @dataclass(frozen=True)
@@ -185,14 +183,8 @@ class RhoConditions:
 
 def _rho(p, x):
     # -log f for the standardized family, valid at x != 0
-    s = 1.0 if x > 0.0 else -1.0
-    w = s * x / (1.0 + s * p.eps)
-    lw = math.log(w)
-    return -(
-        math.log(0.5 * p.c * p.k)
-        - (p.c + 1.0) * lw
-        - (p.k + 1.0) * log1p_exp(-p.c * lw)
-    )
+    w = _split_sample(x, 0.0, 1.0, p.eps)[2]
+    return -_log_density(math.log(0.5 * p.c * p.k), p.c, p.k, math.log(w))
 
 
 def rho_conditions(p):

@@ -1,8 +1,9 @@
-"""Self-contained numerical kernel: log-gamma, beta, quadrature, roots, derivatives.
+"""Numerical primitives: log-gamma, beta, softplus, quadrature, roots, derivatives.
 
-Everything downstream (moments, entropies, oracle integrals, score solving)
-runs on the four primitives in this module, so the package carries no
-dependency on an external special-function library.
+Everything downstream (moments, entropies, likelihoods, oracle integrals,
+score solving) runs on this module and the standard library, so the package
+carries no dependency on an external special-function library.  ln_gamma is
+math.lgamma behind a domain check; the others are implemented here.
 """
 
 from __future__ import annotations
@@ -29,43 +30,12 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
-# Lanczos approximation, g = 7, nine terms.  These are the published
-# coefficients for the (g=7, n=9) scheme; relative accuracy is a few ulp
-# over the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def ln_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Uses the Lanczos series directly for x >= 0.5 and the reflection
-    formula below that, which keeps the argument of the series away
-    from the poles.
-    """
+    """Natural log of the gamma function for finite x > 0 (math.lgamma)."""
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def beta_fn(a, b):

@@ -418,3 +418,33 @@ class TestTopLevel:
         want = sample(Params(0.1, 1.7, 5.0, 0.2, 0.4), 25, seed=123)
         got = np.array(rows).ravel()
         assert np.all(got == want)
+
+
+class TestGofFreeParams:
+    @pytest.mark.parametrize("value", ["five", 4.7, 0, -1, True, None])
+    def test_non_positive_integer_exits_2(self, tmp_path, capsys, value):
+        data = tmp_path / "d.txt"
+        _write_sample(data, n=100, seed=1)
+        doc = tmp_path / "fit.json"
+        params = {"mu": 0.0, "sigma": 1.0, "c": 5.0, "k": 0.2, "eps": 0.4}
+        doc.write_text(json.dumps({"params": params, "free_params": value}))
+        out = tmp_path / "gof.json"
+        assert main([
+            "gof", "--input", str(data), "--fit-result", str(doc), "--out", str(out),
+        ]) == 2
+        assert "free_params must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_is_used_for_the_aic(self, tmp_path):
+        data = tmp_path / "d.txt"
+        _write_sample(data, n=100, seed=1)
+        doc = tmp_path / "fit.json"
+        params = {"mu": 0.0, "sigma": 1.0, "c": 5.0, "k": 0.2, "eps": 0.4}
+        doc.write_text(json.dumps({"params": params, "free_params": 4}))
+        out = tmp_path / "gof.json"
+        assert main([
+            "gof", "--input", str(data), "--fit-result", str(doc), "--out", str(out),
+        ]) == 0
+        gdoc = json.loads(out.read_text())
+        assert gdoc["free_params"] == 4
+        assert gdoc["gof"]["aic"] == pytest.approx(8.0 - 2.0 * gdoc["gof"]["loglik"])

@@ -222,6 +222,21 @@ class TestSample:
         b = sample(Params(4.0, 3.0, 2.0, 1.0, 0.3), 50, seed=21)
         assert np.allclose(b, 4.0 + 3.0 * a, rtol=1e-12, atol=1e-12)
 
+    def test_no_draw_rounds_onto_a_large_location(self):
+        # sigma * z * u below half an ulp of mu used to round onto mu
+        from esbiii import loglik, score
+
+        p = Params(1e12, 1.0, 5.0, 0.1, 0.2)
+        draws = sample(p, 2000, seed=1)
+        assert not np.any(draws == p.mu)
+        assert np.any(np.abs(draws - p.mu) <= np.spacing(p.mu))
+        # each draw stays on the side of its sign-scale, which the same
+        # seed shows at mu = 0
+        centred = sample(Params(0.0, 1.0, 5.0, 0.1, 0.2), 2000, seed=1)
+        assert np.array_equal(np.sign(draws - p.mu), np.sign(centred))
+        assert math.isfinite(loglik(p, Dataset(draws)))
+        assert np.all(np.isfinite(score(p, Dataset(draws))))
+
 
 class TestRawMoment:
     def test_odd_moment_vanishes_when_symmetric(self):

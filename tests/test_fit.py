@@ -82,6 +82,24 @@ class TestLoglik:
         p = Params(1.0, 1.0, 2.0, 1.0, 0.0)
         assert loglik(p, Dataset([1.0, 2.0])) == -math.inf
 
+    def test_tie_with_location_boundary_regime(self):
+        # c*k = 1: the tied point contributes the finite density limit ck/(2 sigma)
+        from esbiii import logpdf
+
+        p = Params(1.0, 1.0, 2.0, 0.5, 0.0)
+        v = loglik(p, Dataset([1.0, 2.0]))
+        assert math.isfinite(v)
+        want = math.log(p.c * p.k / (2.0 * p.sigma)) + logpdf(p, 2.0)
+        assert v == pytest.approx(want, rel=1e-14)
+
+    def test_point_whose_z_underflows_counts_as_a_tie(self):
+        # |x - mu| = 5e-324 over sigma = 2 rounds z to 0
+        p = Params(0.0, 2.0, 2.0, 0.5, 0.0)
+        near = loglik(p, Dataset([5e-324, 1.0, 2.0]))
+        assert near == loglik(p, Dataset([0.0, 1.0, 2.0]))
+        assert math.isfinite(near)
+        assert loglik(replace(p, k=1.0), Dataset([5e-324, 1.0])) == -math.inf
+
 
 class TestStandardize:
     def test_signs_and_magnitudes(self):
