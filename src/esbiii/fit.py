@@ -51,6 +51,7 @@ fallback, and such fixed-point exits, are logged at DEBUG level.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import warnings
@@ -107,7 +108,8 @@ def _fold(x, mu, floor=0.0):
 
 def _split_sample(x, mu, sigma, eps, floor=0.0):
     d, s, mag = _fold(x, mu, floor)
-    return d, s, mag / (sigma * (1.0 + s * eps))
+    # s * eps is exactly +-eps, so the two scales carry the bits of sigma * (1 + s eps)
+    return d, s, mag / np.where(d >= 0.0, sigma * (1.0 + eps), sigma * (1.0 - eps))
 
 
 def standardize(p, data):
@@ -364,15 +366,23 @@ def _eps_score(s, mag, sigma, c, k, eps):
     return (coef / (s + eps)).sum(axis=-1)
 
 
-def _brent_root(f, a, b, tol):
-    return find_root(f, a, b, tol=tol, max_iter=200).root
+def _brent_root(f, a, b, tol, known):
+    """Brent's root of f in [a, b].
+
+    known maps nodes to the values a scan already holds for them (the
+    endpoints among them), which are read instead of evaluated again.
+    """
+    return find_root(
+        lambda v: known[v] if v in known else f(v), a, b, tol=tol, max_iter=200
+    ).root
 
 
-def _scan_brackets(xs, vals, falling=False):
+def _scan_brackets(xs, vals, falling=False, ends_grid=True):
     """Adjacent sign-change pairs (a, b) from a scan, plus exact zeros.
 
     With falling set, a pair is kept only where the values fall through
-    zero: vals(a) > 0 >= vals(b).
+    zero: vals(a) > 0 >= vals(b).  A zero at the last node counts only if
+    ends_grid says that node ends the grid; otherwise its cell is undecided.
     """
     pairs = []
     for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
@@ -382,26 +392,53 @@ def _scan_brackets(xs, vals, falling=False):
             pairs.append((float(a), float(a)))
         elif (fa > 0.0) != (fb > 0.0) and (fa > 0.0 or not falling):
             pairs.append((float(a), float(b)))
-    if vals and math.isfinite(vals[-1]) and vals[-1] == 0.0:
+    if ends_grid and vals and math.isfinite(vals[-1]) and vals[-1] == 0.0:
         pairs.append((float(xs[-1]), float(xs[-1])))
     return pairs
 
 
 def _nearest_root(kern, grid, v0, n, tol, what, node=lambda v: v):
-    """Root in v of kern(node(v)), refined from a scan over grid.
+    """Root in v of kern(node(v)), refined from a scan over the ascending grid.
 
-    Brent's method runs on the scan's sign change nearest v0; an exact
-    zero on the grid is returned as it is.  Raises NoBracketError(what)
-    when the scan finds no sign change.
+    Brent's method runs on the scan's sign change nearest v0 (the first in
+    grid order among equally near ones); an exact zero on the grid is
+    returned as it is.  The scan evaluates the grid outward from v0: first
+    v0's nodes and their neighbours, then windows twice as wide on each
+    side, and only the sides that could still hold a nearer sign change.
+    A cell left of the window is at least as far as the window's left edge
+    and wins ties, one right of it is at least as far as the right edge and
+    loses them, so the pair chosen is the full scan's.  Raises
+    NoBracketError(what) when the whole grid has no sign change.
     """
-    vals = _on_grid(kern, [node(v) for v in grid], n)
-    pairs = _scan_brackets(grid, vals.tolist())
+    last = len(grid) - 1
+    i = min(bisect.bisect_left(grid, v0), last)
+    lo, hi = max(i - 1, 0), min(i + 1, last)
+    known = {}
+    new, step = grid[lo : hi + 1], 2
+    while True:
+        known.update(zip(new, _on_grid(kern, [node(v) for v in new], n).tolist()))
+        window = grid[lo : hi + 1]
+        pairs = _scan_brackets(window, [known[v] for v in window], ends_grid=hi == last)
+        dists = [min(abs(a - v0), abs(b - v0)) for a, b in pairs]
+        best = min(dists, default=math.inf)
+        left = lo > 0 and not best < abs(grid[lo] - v0)
+        right = hi < last and not best <= abs(grid[hi] - v0)
+        if not (left or right):
+            break
+        new = []
+        if left:
+            new += grid[max(lo - step, 0) : lo]
+            lo = max(lo - step, 0)
+        if right:
+            new += grid[hi + 1 : hi + 1 + step]
+            hi = min(hi + step, last)
+        step *= 2
     if not pairs:
         raise NoBracketError(what)
-    a, b = min(pairs, key=lambda ab: min(abs(ab[0] - v0), abs(ab[1] - v0)))
+    a, b = pairs[dists.index(best)]
     if a == b:
         return a
-    return _brent_root(lambda v: _at(kern, node(v)), a, b, tol)
+    return _brent_root(lambda v: _at(kern, node(v)), a, b, tol, known)
 
 
 def _eps_grid():
@@ -469,18 +506,20 @@ def solve_coordinate(p, which, data, cfg=None):
         def kern(m):
             return _mu_score(x, m, p.sigma, p.c, p.k, p.eps, floor)
 
-        vals = _on_grid(kern, grid, n).tolist()
-        pairs = _scan_brackets(grid.tolist(), vals, falling=True)
+        nodes = grid.tolist()
+        vals = _on_grid(kern, nodes, n).tolist()
+        pairs = _scan_brackets(nodes, vals, falling=True)
         if not pairs:
             raise NoBracketError("no falling sign change of the mu score in the window")
         tol_mu = res_tol / p.sigma
+        known = dict(zip(nodes, vals))
         best_mu, best_ll = None, -math.inf
         for a, b in pairs:
             if a == b:
                 root = a
             else:
                 try:
-                    root = _brent_root(lambda m: _at(kern, m), a, b, tol_mu)
+                    root = _brent_root(lambda m: _at(kern, m), a, b, tol_mu, known)
                 except (BracketError, NonConvergenceError):
                     continue
             ll = _fit_loglik(x, root, p.sigma, p.c, p.k, p.eps, floor)
@@ -513,12 +552,13 @@ def solve_coordinate(p, which, data, cfg=None):
             return p.sigma
         direction = 1.0 if g0 > 0.0 else -1.0
         near, step = ls0, 1.0
+        known = {ls0: g0}
         while step <= 128.0:
             far = ls0 + direction * step
-            gfar = g(far)
+            gfar = known[far] = g(far)
             if (gfar > 0.0) != (g0 > 0.0) or gfar == 0.0:
                 a, b = sorted((near, far))
-                return math.exp(_brent_root(g, a, b, res_tol * max(1.0, p.c)))
+                return math.exp(_brent_root(g, a, b, res_tol * max(1.0, p.c), known))
             near = far
             step *= 2.0
         raise NoBracketError("sigma score has no sign change in range")

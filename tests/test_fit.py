@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esbiii import (
     Dataset,
@@ -502,6 +503,95 @@ class TestFallingMuBrackets:
                 data.values, p.mu + step, p.sigma, p.c, p.k, p.eps, floor
             )
             assert moved - ll <= 1e-9 * abs(ll)
+
+
+class TestNearestFirstScan:
+    """The eps and c scans stop early yet pick the full scan's sign change."""
+
+    _VALUES = st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.floats(-3.0, 3.0),
+    )
+
+    @settings(max_examples=400)
+    @given(
+        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=60, unique=True),
+        st.data(),
+    )
+    def test_picks_the_full_scans_nearest_pair(self, nodes, data):
+        import esbiii.fit
+        from esbiii.fit import _nearest_root, _scan_brackets
+
+        grid = sorted(nodes)
+        vals = data.draw(st.lists(self._VALUES, min_size=len(grid), max_size=len(grid)))
+        v0 = data.draw(
+            st.one_of(
+                st.sampled_from([grid[0], grid[-1], *grid]),
+                st.floats(grid[0] - 1.0, grid[-1] + 1.0),
+            )
+        )
+        n = data.draw(st.sampled_from([1, 2000]))  # 2000: four nodes per chunk
+        table = dict(zip(grid, vals))
+
+        def kern(col):
+            return np.array([table[v] for v in col[:, 0]])
+
+        def brent(f, a, b, tol, known):
+            # the scan holds both endpoints, with the grid's values
+            assert known[a] == table[a] and known[b] == table[b]
+            return (a, b)
+
+        pairs = _scan_brackets(grid, vals)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(esbiii.fit, "_brent_root", brent)
+            if not pairs:
+                with pytest.raises(NoBracketError):
+                    _nearest_root(kern, grid, v0, n, 1e-9, "none")
+                return
+            got = _nearest_root(kern, grid, v0, n, 1e-9, "none")
+        a, b = min(pairs, key=lambda ab: min(abs(ab[0] - v0), abs(ab[1] - v0)))
+        assert got == (a if a == b else (a, b))
+
+    def test_scans_stay_near_and_brent_reads_their_nodes(self, monkeypatch):
+        import esbiii.fit
+
+        solves = []  # [coordinate, nodes scanned, nodes evaluated by find_root]
+        in_root = [False]
+        solve, root = esbiii.fit.solve_coordinate, esbiii.fit.find_root
+
+        def traced_solve(p, which, data, cfg=None):
+            solves.append([which, [], []])
+            return solve(p, which, data, cfg)
+
+        def traced_root(*args, **kw):
+            in_root[0] = True
+            try:
+                return root(*args, **kw)
+            finally:
+                in_root[0] = False
+
+        def counted(name, pos):
+            kernel = getattr(esbiii.fit, name)
+
+            def wrapped(*args):
+                solves[-1][2 if in_root[0] else 1].extend(np.ravel(args[pos]).tolist())
+                return kernel(*args)
+
+            monkeypatch.setattr(esbiii.fit, name, wrapped)
+
+        counted("_mu_score", 1)
+        counted("_sigma_score_scaled", 4)
+        counted("_c_score", 3)
+        counted("_eps_score", 5)
+        monkeypatch.setattr(esbiii.fit, "solve_coordinate", traced_solve)
+        monkeypatch.setattr(esbiii.fit, "find_root", traced_root)
+        fit_ml(Dataset(sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 200, seed=1)))
+        for which in ("c", "eps"):
+            scans = [len(scan) for w, scan, _ in solves if w == which]
+            assert scans and sum(scans) / len(scans) <= 8.0, which
+        assert any(brent for *_, brent in solves)
+        for which, scan, brent in solves:
+            assert not set(scan) & set(brent), which
 
 
 class TestFitConfig:
