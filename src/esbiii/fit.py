@@ -184,8 +184,12 @@ def loglik(p, data):
 
 
 def _tmix(lz, c):
-    """1 / (1 + z**c) from lz = log z, through logs so huge z**c cannot overflow."""
-    return np.exp(-log1p_exp(c * lz))
+    """1 / (1 + z**c) from lz = log z, for a scalar or an array.
+
+    z**c = exp(c lz) overflowing to inf gives exactly 0, the limit.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(c * lz))
 
 
 def score(p, data):

@@ -594,6 +594,36 @@ class TestNearestFirstScan:
             assert not set(scan) & set(brent), which
 
 
+class TestTmix:
+    """1 / (1 + z**c) with one exp, against the softplus form it replaced."""
+
+    def test_matches_the_softplus_form(self):
+        from esbiii.fit import _tmix
+
+        u = np.linspace(-800.0, 800.0, 200_001)
+        ref = np.exp(-np.logaddexp(0.0, u))
+        got = _tmix(u / 2.5, 2.5)
+        keep = ref >= 1e-300
+        assert keep.sum() > 100_000
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=4e-15, atol=0.0)
+
+    def test_overflow_gives_exactly_zero_without_warning(self):
+        from esbiii.fit import _tmix
+
+        # pytest's filterwarnings turns an overflow RuntimeWarning into an error
+        u = np.array([710.0, 711.0, 1e3, 1e300, math.inf])
+        assert np.array_equal(_tmix(u, 1.0), np.zeros(u.size))
+        assert _tmix(np.float64(800.0), 1.0) == 0.0
+
+    def test_scalar_in_float_out(self):
+        from esbiii.fit import _tmix
+
+        for lz in (np.float64(0.3), np.float64(-40.0), 2.0):
+            t = _tmix(lz, 1.7)
+            assert isinstance(t, np.float64) and math.isfinite(t)
+        assert _tmix(np.float64(0.0), 3.0) == 0.5
+
+
 class TestFitConfig:
     @pytest.mark.parametrize(
         "kwargs",
