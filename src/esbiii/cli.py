@@ -384,10 +384,14 @@ def cmd_gof(args):
             with open(args.fit_result, "r", encoding="utf-8") as fh:
                 fitdoc = json.load(fh)
             pd = fitdoc["params"]
-            p = Params(mu=pd["mu"], sigma=pd["sigma"], c=pd["c"], k=pd["k"], eps=pd["eps"])
+            vals = {name: pd[name] for name in ("mu", "sigma", "c", "k", "eps")}
             free = fitdoc.get("free_params", 5)
         except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read fit result {args.fit_result}: {exc}") from exc
+        for name, v in vals.items():
+            if type(v) not in (int, float):  # bool is a subclass of int
+                raise ParseError(f"params.{name} must be a JSON number, got {v!r}")
+        p = Params(**vals)
         if type(free) is not int or free < 1:
             raise ParseError(f"free_params must be a positive integer, got {free!r}")
     ll = loglik(p, data)

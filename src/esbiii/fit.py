@@ -10,12 +10,16 @@ Each coordinate is updated by solving its score equation (k has a closed
 form); an update is kept only if the log-likelihood does not decrease, and
 a golden-section line search on the same coordinate takes over whenever
 the root step is unavailable or goes downhill.  The mu, c and eps updates
-scan their score over a grid in one broadcast pass and refine a sign
-change by Brent's method.  For mu only brackets where the score falls
-through zero are refined: with mu increasing, a maximum can sit only
-there, while a rise marks a minimum or the upward jump of the floored
-score at the floor edge of an observation (see below); with no such
-bracket the line search takes over.  A pattern step after each cycle
+scan their score over a grid and refine a sign change by Brent's method,
+whose bracket ends are read from the scan rather than evaluated again.
+The mu scan evaluates its whole grid in one broadcast pass, and only
+brackets where the score falls through zero are refined: with mu
+increasing, a maximum can sit only there, while a rise marks a minimum or
+the upward jump of the floored score at the floor edge of an observation
+(see below); with no such bracket the line search takes over.  The c and
+eps updates refine the sign change nearest the current value, so their
+scans start at that value and widen outward only until no unscanned cell
+can hold a nearer one.  A pattern step after each cycle
 extrapolates along the displacement the cycle produced, which cuts through
 the slow zigzag coordinate ascent suffers on the curved ridge that couples
 mu and eps.  All window and tolerance choices are relative, so fits
@@ -373,8 +377,8 @@ def _eps_score(s, mag, sigma, c, k, eps):
 def _brent_root(f, a, b, tol, known):
     """Brent's root of f in [a, b].
 
-    known maps nodes to the values a scan already holds for them (the
-    endpoints among them), which are read instead of evaluated again.
+    known holds values of f that a scan already computed, the bracket ends
+    among them; those nodes are read, not evaluated again.
     """
     return find_root(
         lambda v: known[v] if v in known else f(v), a, b, tol=tol, max_iter=200
@@ -407,8 +411,8 @@ def _nearest_root(kern, grid, v0, n, tol, what, node=lambda v: v):
     Brent's method runs on the scan's sign change nearest v0 (the first in
     grid order among equally near ones); an exact zero on the grid is
     returned as it is.  The scan evaluates the grid outward from v0: first
-    v0's nodes and their neighbours, then windows twice as wide on each
-    side, and only the sides that could still hold a nearer sign change.
+    the nodes next to v0, then windows twice as wide on each side, and
+    only on the sides that could still hold a nearer sign change.
     A cell left of the window is at least as far as the window's left edge
     and wins ties, one right of it is at least as far as the right edge and
     loses them, so the pair chosen is the full scan's.  Raises
@@ -483,6 +487,11 @@ def solve_coordinate(p, which, data, cfg=None):
     observations.  For mu with c*k >= 1 only scan brackets (a, b) where the
     score falls through zero, g(a) > 0 >= g(b), are refined, since a
     maximum can sit only there; the root with the best objective wins.
+    For c and eps the sign change nearest the current value is refined,
+    and the scan evaluates its grid outward from that value, in windows
+    that double on each side, until no unscanned cell can hold a nearer
+    one.  Brent's method reads the values at its bracket ends from the
+    scan (for sigma, from the expansion that found the bracket).
     For mu with c*k < 1 the score equation has no root (dl/dmu has a pole
     at every observation), so the update maximizes the working objective.
 

@@ -448,3 +448,37 @@ class TestGofFreeParams:
         gdoc = json.loads(out.read_text())
         assert gdoc["free_params"] == 4
         assert gdoc["gof"]["aic"] == pytest.approx(8.0 - 2.0 * gdoc["gof"]["loglik"])
+
+
+class TestGofFitResultParams:
+    @pytest.mark.parametrize(
+        "params, bad",
+        [
+            ({"mu": False, "sigma": True, "c": 5, "k": 0.2, "eps": 0.4}, "mu"),
+            ({"mu": 0.0, "sigma": 1.0, "c": "5", "k": 0.2, "eps": 0.4}, "c"),
+            ({"mu": 0.0, "sigma": 1.0, "c": 5.0, "k": 0.2, "eps": None}, "eps"),
+        ],
+    )
+    def test_non_number_exits_2(self, tmp_path, capsys, params, bad):
+        data = tmp_path / "d.txt"
+        _write_sample(data, n=100, seed=1)
+        doc = tmp_path / "fit.json"
+        doc.write_text(json.dumps({"params": params, "free_params": 5}))
+        out = tmp_path / "gof.json"
+        assert main([
+            "gof", "--input", str(data), "--fit-result", str(doc), "--out", str(out),
+        ]) == 2
+        assert f"params.{bad} must be a JSON number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integers_are_numbers(self, tmp_path):
+        data = tmp_path / "d.txt"
+        _write_sample(data, n=100, seed=1)
+        doc = tmp_path / "fit.json"
+        params = {"mu": 0, "sigma": 1, "c": 5, "k": 0.2, "eps": 0.4}
+        doc.write_text(json.dumps({"params": params}))
+        out = tmp_path / "gof.json"
+        assert main([
+            "gof", "--input", str(data), "--fit-result", str(doc), "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["params"] == params
