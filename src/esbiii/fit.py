@@ -9,21 +9,19 @@ The fitter runs cyclic coordinate ascent in the order mu, sigma, c, k, eps.
 Each coordinate is updated by solving its score equation (k has a closed
 form); an update is kept only if the log-likelihood does not decrease, and
 a golden-section line search on the same coordinate takes over whenever
-the root step is unavailable or goes downhill.  The mu, c and eps updates
-scan their score over a grid and refine a sign change by Brent's method,
+the root step is unavailable or goes downhill.  The mu, sigma, c and eps
+updates share one rule: scan the score over a grid outward from the
+current value, in windows that widen only until no unscanned cell can
+hold a nearer sign change, and refine the nearest one by Brent's method,
 whose bracket ends are read from the scan rather than evaluated again.
-The mu scan evaluates its whole grid in one broadcast pass, and only
-brackets where the score falls through zero are refined: with mu
-increasing, a maximum can sit only there, while a rise marks a minimum or
-the upward jump of the floored score at the floor edge of an observation
-(see below); with no such bracket the line search takes over.  The c and
-eps updates refine the sign change nearest the current value, so their
-scans start at that value and widen outward only until no unscanned cell
-can hold a nearer one.  A pattern step after each cycle
-extrapolates along the displacement the cycle produced, which cuts through
-the slow zigzag coordinate ascent suffers on the curved ridge that couples
-mu and eps.  All window and tolerance choices are relative, so fits
-commute with affine changes of the data.
+For mu only sign changes where the score falls through zero count: with
+mu increasing, a maximum can sit only there, while a rise marks a minimum
+or the upward jump of the floored score at the floor edge of an
+observation (see below).  A pattern step after each cycle extrapolates
+along the displacement the cycle produced, which cuts through the slow
+zigzag coordinate ascent suffers on the curved ridge that couples mu and
+eps.  All window and tolerance choices are relative, so fits commute with
+affine changes of the data.
 
 When c*k < 1 the density diverges at every observation, so the exact
 likelihood has an integrable spike at each data point and its supremum
@@ -58,6 +56,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -199,12 +198,17 @@ def _tmix(lz, c):
 def score(p, data):
     """Score vector (d l / d mu, d sigma, d c, d k, d eps) at p.
 
-    Undefined when a data point equals mu exactly; perturb mu first.
+    Undefined, like the tie rule of loglik, when some z is 0: a data point
+    at mu, or so close that z underflows; perturb mu first.
     """
     x = np.asarray(data.values, dtype=float)
-    if np.any(x == p.mu):
-        raise DomainError("score is undefined with a data point exactly at mu")
-    return _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)
+    if np.all(np.isfinite(g)):  # a tie makes g non-finite: only then look at z
+        return g
+    if np.any(standardize(p, data).z == 0.0):
+        raise DomainError("score is undefined with a data point at mu (z = 0)")
+    return _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)  # numpy warns why
 
 
 def _work_score(x, mu, sigma, c, k, eps, floor):
@@ -289,14 +293,14 @@ class FitConfig:
     fixed_c: float | None = None
 
     def __post_init__(self):
-        if self.max_cycles < 1:
-            raise DomainError("max_cycles must be at least 1")
+        if not (isinstance(self.max_cycles, numbers.Integral) and self.max_cycles >= 1):
+            raise DomainError("max_cycles must be an integer of at least 1")
         if not self.param_tol > 0.0:
             raise DomainError("param_tol must be positive")
         if self.score_tol is not None and not self.score_tol > 0.0:
             raise DomainError("score_tol must be positive")
-        if self.fixed_c is not None and not self.fixed_c > 0.0:
-            raise DomainError("fixed_c must be positive")
+        if self.fixed_c is not None and not 0.0 < self.fixed_c < math.inf:
+            raise DomainError("fixed_c must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -405,11 +409,12 @@ def _scan_brackets(xs, vals, falling=False, ends_grid=True):
     return pairs
 
 
-def _nearest_root(kern, grid, v0, n, tol, what, node=lambda v: v):
+def _nearest_root(kern, grid, v0, n, tol, what, node=lambda v: v, falling=False):
     """Root in v of kern(node(v)), refined from a scan over the ascending grid.
 
     Brent's method runs on the scan's sign change nearest v0 (the first in
-    grid order among equally near ones); an exact zero on the grid is
+    grid order among equally near ones; with falling set, only changes from
+    positive to non-positive count); an exact zero on the grid is
     returned as it is.  The scan evaluates the grid outward from v0: first
     the nodes next to v0, then windows twice as wide on each side, and
     only on the sides that could still hold a nearer sign change.
@@ -426,7 +431,7 @@ def _nearest_root(kern, grid, v0, n, tol, what, node=lambda v: v):
     while True:
         known.update(zip(new, _on_grid(kern, [node(v) for v in new], n).tolist()))
         window = grid[lo : hi + 1]
-        pairs = _scan_brackets(window, [known[v] for v in window], ends_grid=hi == last)
+        pairs = _scan_brackets(window, [known[v] for v in window], falling, hi == last)
         dists = [min(abs(a - v0), abs(b - v0)) for a, b in pairs]
         best = min(dists, default=math.inf)
         left = lo > 0 and not best < abs(grid[lo] - v0)
@@ -484,22 +489,18 @@ def solve_coordinate(p, which, data, cfg=None):
     Returns the new coordinate value.  `which` is one of COORD_NAMES.  The
     score used is that of the resolution-floored working objective, which
     matches the exact score whenever mu keeps the floor distance from all
-    observations.  For mu with c*k >= 1 only scan brackets (a, b) where the
-    score falls through zero, g(a) > 0 >= g(b), are refined, since a
-    maximum can sit only there; the root with the best objective wins.
-    For c and eps the sign change nearest the current value is refined,
-    and the scan evaluates its grid outward from that value, in windows
-    that double on each side, until no unscanned cell can hold a nearer
-    one.  Brent's method reads the values at its bracket ends from the
-    scan (for sigma, from the expansion that found the bracket).
-    For mu with c*k < 1 the score equation has no root (dl/dmu has a pole
-    at every observation), so the update maximizes the working objective.
+    observations.  k has a closed form.  mu (when c*k >= 1), sigma, c and
+    eps take the scan's sign change nearest their current value, refined by
+    Brent's method (the module docstring gives the rule); for mu only
+    falling ones, g(a) > 0 >= g(b), count, since a maximum can sit only
+    there.  For mu with c*k < 1 the score equation has no root (dl/dmu has
+    a pole at every observation), so the update maximizes the working
+    objective.
 
-    Raises NoBracketError when the scan finds no such sign change (for mu,
-    no falling one) or no mu bracket refines to a root, and
-    NonConvergenceError if a bracketed solve stalls.  The floor and the mu
-    window are computed from the data, unless the data come from a running
-    fit that carries them.
+    Raises NoBracketError when the scan finds no such sign change, and
+    BracketError or NonConvergenceError if Brent's method fails.  The floor
+    and the mu window are computed from the data, unless the data come
+    from a running fit that carries them.
     """
     if which not in COORD_NAMES:
         raise DomainError(f"unknown coordinate {which!r}")
@@ -510,7 +511,7 @@ def solve_coordinate(p, which, data, cfg=None):
     res_tol = 1e-9 * n
 
     if which == "mu":
-        # c*k < 1: direct search (no root exists); else refine falling brackets
+        # c*k < 1: direct search (no root exists); else a falling sign change
         width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread)
         grid = p.mu + np.linspace(-width, width, 41)
         if p.c * p.k < 1.0:
@@ -519,28 +520,9 @@ def solve_coordinate(p, which, data, cfg=None):
         def kern(m):
             return _mu_score(x, m, p.sigma, p.c, p.k, p.eps, floor)
 
-        nodes = grid.tolist()
-        vals = _on_grid(kern, nodes, n).tolist()
-        pairs = _scan_brackets(nodes, vals, falling=True)
-        if not pairs:
-            raise NoBracketError("no falling sign change of the mu score in the window")
+        msg = "no falling sign change of the mu score in the window"
         tol_mu = res_tol / p.sigma
-        known = dict(zip(nodes, vals))
-        best_mu, best_ll = None, -math.inf
-        for a, b in pairs:
-            if a == b:
-                root = a
-            else:
-                try:
-                    root = _brent_root(lambda m: _at(kern, m), a, b, tol_mu, known)
-                except (BracketError, NonConvergenceError):
-                    continue
-            ll = _fit_loglik(x, root, p.sigma, p.c, p.k, p.eps, floor)
-            if ll > best_ll:
-                best_mu, best_ll = root, ll
-        if best_mu is None:
-            raise NoBracketError("mu score brackets did not refine to a root")
-        return float(best_mu)
+        return _nearest_root(kern, grid.tolist(), p.mu, n, tol_mu, msg, falling=True)
 
     _, s, mag = _fold(x, p.mu, floor)
     w = 1.0 + s * p.eps
@@ -553,28 +535,16 @@ def solve_coordinate(p, which, data, cfg=None):
         return float(n / denom)
 
     if which == "sigma":
-        # strictly decreasing in log sigma, so one-sided expansion suffices
-        def g(ls):
-            return _at(
-                lambda sg: _sigma_score_scaled(mag, w, p.c, p.k, sg), math.exp(ls)
-            )
+        # strictly decreasing in log sigma, so one sign change at most
+        def kern(sg):
+            return _sigma_score_scaled(mag, w, p.c, p.k, sg)
 
         ls0 = math.log(p.sigma)
-        g0 = g(ls0)
-        if g0 == 0.0:
-            return p.sigma
-        direction = 1.0 if g0 > 0.0 else -1.0
-        near, step = ls0, 1.0
-        known = {ls0: g0}
-        while step <= 128.0:
-            far = ls0 + direction * step
-            gfar = known[far] = g(far)
-            if (gfar > 0.0) != (g0 > 0.0) or gfar == 0.0:
-                a, b = sorted((near, far))
-                return math.exp(_brent_root(g, a, b, res_tol * max(1.0, p.c), known))
-            near = far
-            step *= 2.0
-        raise NoBracketError("sigma score has no sign change in range")
+        steps = 2.0 ** np.arange(8.0)  # 1, 2, 4, ..., 128
+        grid = (ls0 + np.concatenate([-steps[::-1], [0.0], steps])).tolist()
+        msg = "sigma score has no sign change in range"
+        tol = res_tol * max(1.0, p.c)
+        return math.exp(_nearest_root(kern, grid, ls0, n, tol, msg, math.exp))
 
     if which == "c":
         lz = np.log(mag / (p.sigma * w))
