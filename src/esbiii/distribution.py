@@ -28,8 +28,10 @@ import numpy as np
 
 from .burr3 import (
     Burr3Params,
+    _blockwise,
     _log_density,
     _maybe_scalar,
+    _pick,
     _quantile_from_neg_log,
     burr3_quantile,
 )
@@ -141,50 +143,72 @@ def _require_standard_form(p, what):
 def _split(y, p):
     """Standardize and fold onto the positive axis.
 
-    Returns (x, w, at_origin) where w = |x| / (1 + sign(x)*eps) >= 0 and
-    sign(0) = +1.
+    Returns (pos, w) for a float array y: pos marks x = (y - mu)/sigma >= 0
+    and w = |x| / (1 + sign(x)*eps) >= 0, with sign(0) = +1.  w is an array
+    of y's shape, also for a 0-d y.
     """
-    x = (np.asarray(y, dtype=float) - p.mu) / p.sigma
-    s = np.where(x >= 0.0, 1.0, -1.0)
-    w = s * x / (1.0 + s * p.eps)
-    return x, w, w == 0.0
-
-
-def _log_density_core(w, p):
-    """log f at points with w > 0 (the caller masks w == 0)."""
-    return _log_density(math.log(p.c * p.k / (2.0 * p.sigma)), p.c, p.k, np.log(w))
+    x = np.subtract(y, p.mu, out=np.empty_like(y))
+    x /= p.sigma
+    pos = x >= 0.0
+    w = np.abs(x, out=x)
+    w /= _pick(pos, 1.0 + p.eps, 1.0 - p.eps)
+    return pos, w
 
 
 def _origin_log_density(p):
     """Limit of log f as y -> mu, which depends on the sign of c*k - 1.
 
-    For c*k < 1 the density diverges; a saturated finite stand-in is
-    returned and a DensityLimitWarning is emitted so callers can tell the
-    value is a flag, not a density.
+    For c*k < 1 the density diverges and a saturated finite stand-in is
+    returned; callers emit a DensityLimitWarning where they use it, so the
+    value reads as a flag, not a density.
     """
     ck = p.c * p.k
     if ck > 1.0:
         return -math.inf
     if ck == 1.0:
         return math.log(ck / (2.0 * p.sigma))
-    warnings.warn(
-        f"density diverges at the location for c*k = {ck} < 1; "
-        "returning a saturated value",
-        DensityLimitWarning,
-        stacklevel=3,
-    )
     return _LOG_HUGE
+
+
+def _density_blocks(p, y, exp):
+    """log f at y (f itself with exp set), a new array of y's shape.
+
+    Evaluated block by block in place; warns, with the caller of logpdf or
+    pdf as the source, when a point sits at mu and c*k < 1.
+    """
+    log_const = math.log(p.c * p.k / (2.0 * p.sigma))
+    origin = _origin_log_density(p)
+
+    def kernel(yb, ob):
+        w = _split(yb, p)[1]
+        at0 = w == 0.0
+        tie = at0.any()
+        if tie:
+            w[at0] = 1.0
+        _log_density(log_const, p.c, p.k, np.log(w, out=w), out=ob)
+        if tie:
+            ob[at0] = origin
+        if exp:
+            huge = ob == _LOG_HUGE
+            np.exp(ob, out=ob)
+            ob[huge] = _HUGE
+        return tie
+
+    arr = np.asarray(y, dtype=float)
+    out = np.empty(arr.shape)
+    if any(_blockwise(kernel, arr, out)) and p.c * p.k < 1.0:
+        warnings.warn(
+            f"density diverges at the location for c*k = {p.c * p.k} < 1; "
+            "returning a saturated value",
+            DensityLimitWarning,
+            stacklevel=3,
+        )
+    return out
 
 
 def logpdf(p, y):
     """Natural log of the density; see :func:`pdf` for the y = mu convention."""
-    _, w, at0 = _split(y, p)
-    if np.any(at0):
-        safe = np.where(at0, 1.0, w)
-        out = np.where(at0, _origin_log_density(p), _log_density_core(safe, p))
-    else:
-        out = _log_density_core(w, p)
-    return _maybe_scalar(out, y)
+    return _maybe_scalar(_density_blocks(p, y, exp=False), y)
 
 
 def pdf(p, y):
@@ -195,29 +219,36 @@ def pdf(p, y):
     limit is infinite, the largest finite float is returned along with a
     DensityLimitWarning.
     """
-    out = logpdf(p, y)
     if np.ndim(y) == 0:
+        out = float(_density_blocks(p, y, exp=False))
         return math.exp(out) if out != _LOG_HUGE else _HUGE
-    res = np.exp(out)
-    return np.where(out == _LOG_HUGE, _HUGE, res)
+    return _density_blocks(p, y, exp=True)
 
 
 def cdf(p, y):
     """Distribution function; equals (1 - eps)/2 exactly at y = mu."""
-    x, w, at0 = _split(y, p)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    # log(1 + w**-c); the at-origin entries become +inf, which feeds the
-    # correct limits below (G -> 0, tail factor -> 1)
-    t = log1p_exp(-p.c * logw)
     half_lo = 0.5 * (1.0 - p.eps)
-    g = np.exp(-p.k * t)
-    pos = x >= 0.0
-    out = np.where(
-        pos,
-        half_lo + 0.5 * (1.0 + p.eps) * g,
-        half_lo * -np.expm1(-p.k * t),
-    )
+    half_hi = 0.5 * (1.0 + p.eps)
+
+    def kernel(yb, ob):
+        pos, w = _split(yb, p)
+        with np.errstate(divide="ignore"):
+            t = np.log(w, out=w)
+        # -k log(1 + w**-c); the at-origin entries become -inf, which feeds
+        # the correct limits below (G -> 0, tail factor -> 1)
+        t *= -p.c
+        t = log1p_exp(t)
+        t *= -p.k
+        above = np.exp(t)
+        above *= half_hi
+        above += half_lo
+        below = -np.expm1(t)
+        below *= half_lo
+        ob[...] = np.where(pos, above, below)
+
+    arr = np.asarray(y, dtype=float)
+    out = np.empty(arr.shape)
+    _blockwise(kernel, arr, out)
     return _maybe_scalar(out, y)
 
 
@@ -232,27 +263,36 @@ def quantile(p, prob):
     arr = np.asarray(prob, dtype=float)
     if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise DomainError("prob must lie strictly inside (0, 1)")
-    q = np.atleast_1d(arr)
+    shapes = Burr3Params(p.c, p.k)
     half_lo = 0.5 * (1.0 - p.eps)
     half_hi = 0.5 * (1.0 + p.eps)
-    pos = q > half_lo
-    # r = 1 - u on both branches, formed from prob without rounding through u
-    r = np.where(pos, 1.0 - q, q)
-    r /= np.where(pos, half_hi, half_lo)
-    # right of the split with u <= 1/2, u itself carries more digits than 1 - r
-    near_split = pos & (r >= 0.5)
-    u = np.subtract(q, half_lo)
-    u /= half_hi
-    # r = 1 at the split, where -log u = inf yields the quantile mu
-    with np.errstate(divide="ignore"):
-        neg_log_u = np.log1p(np.negative(r, out=r), out=r)
-    np.log(u, out=neg_log_u, where=near_split)
-    np.negative(neg_log_u, out=neg_log_u)
-    x = _quantile_from_neg_log(Burr3Params(p.c, p.k), neg_log_u)
-    x *= np.where(pos, 1.0 + p.eps, p.eps - 1.0)
-    x *= p.sigma
-    x += p.mu
-    return _maybe_scalar(x.reshape(arr.shape), prob)
+
+    def kernel(q, ob):
+        pos = q > half_lo
+        half = _pick(pos, half_hi, -half_lo)
+        # r = 1 - u on both branches, (1 - q)/half_hi or (-q)/(-half_lo),
+        # formed from prob without rounding through u
+        r = np.subtract(pos, q)
+        r /= half
+        # right of the split with u <= 1/2, u itself carries more digits than 1 - r
+        near_split = pos & (r >= 0.5)
+        u = np.subtract(q, half_lo)
+        u /= half_hi
+        # r = 1 at the split, where -log u = inf yields the quantile mu; |u|
+        # keeps the log off the negative u of the left branch, never selected
+        with np.errstate(divide="ignore"):
+            np.log1p(np.negative(r, out=r), out=r)
+            np.log(np.abs(u, out=u), out=u)
+        neg_log_u = np.negative(np.where(near_split, u, r))
+        x = _quantile_from_neg_log(shapes, neg_log_u, out=ob)
+        x *= np.multiply(half, 2.0, out=half)  # 1 + eps or eps - 1
+        x *= p.sigma
+        x += p.mu
+
+    out = np.empty(arr.shape)
+    # quantile has no softplus, so a scalar takes the array path, as before
+    _blockwise(kernel, np.atleast_1d(arr), out)
+    return _maybe_scalar(out, prob)
 
 
 def sample(p, n, seed):
@@ -266,15 +306,31 @@ def sample(p, n, seed):
     if int(n) != n or n <= 0:
         raise DomainError(f"n must be a positive integer, got {n}")
     rng = np.random.default_rng(int(seed))
-    u = rng.random(int(n))
-    u = np.where(u == 0.0, 2.0**-53, u)
-    z = burr3_quantile(Burr3Params(p.c, p.k), u)
-    v = rng.random(int(n))
-    u_mix = np.where(v < 0.5 * (1.0 + p.eps), 1.0 + p.eps, -(1.0 - p.eps))
-    y = p.mu + p.sigma * z * u_mix
-    # a tiny sigma*z*u rounds onto mu; step one ulp to the side of its sign
-    on_mu = y == p.mu
-    y[on_mu] = np.nextafter(p.mu, np.copysign(np.inf, u_mix[on_mu]))
+    shapes = Burr3Params(p.c, p.k)
+
+    # Every z is drawn before any sign-scale, as one rng.random(n) call
+    # each would: PCG64 streams the same doubles whatever the block size.
+    def draw_z(yb):
+        u = rng.random(yb.size)
+        zero = u == 0.0  # rng.random can emit 0.0; push it onto (0, 1)
+        if zero.any():
+            u[zero] = 2.0**-53
+        yb[...] = burr3_quantile(shapes, u)
+
+    def sign_scale(yb):
+        v = rng.random(yb.size)
+        u_mix = _pick(v < 0.5 * (1.0 + p.eps), 1.0 + p.eps, -(1.0 - p.eps))
+        yb *= p.sigma
+        yb *= u_mix
+        yb += p.mu
+        # a tiny sigma*z*u rounds onto mu; step one ulp to the side of its sign
+        on_mu = yb == p.mu
+        if on_mu.any():
+            yb[on_mu] = np.nextafter(p.mu, np.copysign(np.inf, u_mix[on_mu]))
+
+    y = np.empty(int(n))
+    _blockwise(draw_z, y)
+    _blockwise(sign_scale, y)
     return y
 
 

@@ -62,6 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .burr3 import _BLOCK, _blockwise, _pick
 from .distribution import Params
 from .errors import (
     BracketError,
@@ -149,10 +150,28 @@ def _floored(x):
     return _FlooredSample(x, _data_resolution(x), float(hi - lo))
 
 
-def _loglik_arrays(x, mu, sigma, c, k, eps):
+def _fsum(parts):
+    """Correctly rounded sum of block partials (math.fsum).
+
+    Where fsum cannot round, at inf - inf or a finite sum that overflows,
+    the plain sum gives the nan or inf a single pass would.
+    """
+    try:
+        return math.fsum(parts)
+    except (ValueError, OverflowError):
+        return sum(parts)
+
+
+def _exact_loglik(x, mu, sigma, c, k, eps):
     # z = 0 (a point at mu, or so close that z underflows) makes the sum nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = _fit_loglik(x, mu, sigma, c, k, eps, 0.0)
+        return _fsum(
+            _blockwise(lambda xb: _fit_loglik(xb, mu, sigma, c, k, eps, 0.0), x)
+        )
+
+
+def _loglik_arrays(x, mu, sigma, c, k, eps):
+    ll = _exact_loglik(x, mu, sigma, c, k, eps)
     if not math.isnan(ll):
         return ll
     ck = c * k
@@ -163,7 +182,7 @@ def _loglik_arrays(x, mu, sigma, c, k, eps):
     # c*k = 1: tied points contribute exactly the constant term
     rest = x[_split_sample(x, mu, sigma, eps)[2] > 0.0]
     const = math.log(ck / (2.0 * sigma))
-    return (x.size - rest.size) * const + _fit_loglik(rest, mu, sigma, c, k, eps, 0.0)
+    return (x.size - rest.size) * const + _exact_loglik(rest, mu, sigma, c, k, eps)
 
 
 def loglik(p, data):
@@ -211,31 +230,50 @@ def score(p, data):
     return _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)  # numpy warns why
 
 
+def _score_sums(x, mu, sigma, c, k, eps, floor):
+    """One block's sums of log(1 + z**-c), t, log z, t log z and the eps and mu terms.
+
+    t = 1/(1 + z**c), and the eps and mu terms are coef/(s + eps) and
+    coef/d with coef = (c+1) - c(k+1) t, s = sign(d) and d = x - mu.
+    """
+    d = x - mu
+    pos = d >= 0.0
+    lz = np.maximum(np.abs(d), floor)
+    dead = lz <= floor  # points on the floor add nothing to the mu component
+    # s * eps is exactly +-eps, so the two scales carry the bits of sigma * (1 + s eps)
+    lz /= _pick(pos, sigma * (1.0 + eps), sigma * (1.0 - eps))
+    np.log(lz, out=lz)
+    sp = log1p_exp(-c * lz).sum()
+    t = _tmix(lz, c)
+    t_sum = t.sum()
+    lz_sum = lz.sum()
+    lzt = np.multiply(lz, t, out=lz).sum()
+    coef = np.multiply(t, -c * (k + 1.0), out=t)  # (c+1) - c(k+1) t, in t's buffer
+    coef += c + 1.0
+    # s + eps is 1 + eps or eps - 1
+    g_eps = (coef / _pick(pos, 1.0 + eps, eps - 1.0)).sum()
+    if dead.any():
+        coef[dead] = 0.0
+        d[dead] = 1.0
+    return sp, t_sum, lz_sum, lzt, g_eps, np.divide(coef, d, out=coef).sum()
+
+
 def _work_score(x, mu, sigma, c, k, eps, floor):
     """Score of the working (resolution-floored) objective.
 
     Points inside the floor contribute a constant to the objective, hence
     nothing to the mu component; the other components use the floored z.
     Identical to the exact score when mu is off-floor for every point, and
-    floor = 0 gives the exact score.
+    floor = 0 gives the exact score.  The sums are taken per block and
+    added by _fsum, so up to one block the result has the bits of a single
+    pass.
     """
     n = x.size
-    d, s, mag = _fold(x, mu, floor)
-    lz = np.log(mag / (sigma * (1.0 + s * eps)))
-    # each term is summed as soon as it is formed, in an order that keeps few
-    # 8 MB temporaries alive at n = 1e6, where each one costs page faults
-    g_k = n / k - log1p_exp(-c * lz).sum()
-    t = _tmix(lz, c)
-    g_sigma = (n * c - c * (k + 1.0) * t.sum()) / sigma
-    g_c = n / c - lz.sum() + (k + 1.0) * (lz * t).sum()
-    coef = np.multiply(t, -c * (k + 1.0), out=t)  # (c+1) - c(k+1) t, in t's buffer
-    coef += c + 1.0
-    g_eps = (coef / (s + eps)).sum()
-    dead = mag <= floor  # points on the floor add nothing to the mu component
-    coef[dead] = 0.0
-    d[dead] = 1.0
-    g_mu = (coef / d).sum()
-    return np.array([g_mu, g_sigma, g_c, g_k, g_eps])
+    blocks = _blockwise(lambda xb: _score_sums(xb, mu, sigma, c, k, eps, floor), x)
+    sp, t, lz, lzt, g_eps, g_mu = (_fsum([b[i] for b in blocks]) for i in range(6))
+    g_sigma = (n * c - c * (k + 1.0) * t) / sigma
+    g_c = n / c - lz + (k + 1.0) * lzt
+    return np.array([g_mu, g_sigma, g_c, n / k - sp, g_eps])
 
 
 def _mu_pinned(x, mu, floor):
@@ -268,12 +306,17 @@ def _fit_loglik(x, mu, sigma, c, k, eps, floor):
     min |x_i - mu| >= floor.  A column of mu nodes gives one value per node.
     """
     n = x.size
-    _, _, z = _split_sample(x, mu, sigma, eps, floor)
-    lz = np.log(z)
+    d = np.subtract(x, mu)
+    # z = max(|d|, floor) / (sigma (1 + s eps)) in d's buffer, as in _split_sample
+    scale = _pick(d >= 0.0, sigma * (1.0 + eps), sigma * (1.0 - eps))
+    lz = np.abs(d, out=d)
+    np.maximum(lz, floor, out=lz)
+    lz /= scale
+    np.log(lz, out=lz)
     return (
         n * math.log(c * k / (2.0 * sigma))
         - (c + 1.0) * lz.sum(axis=-1)
-        - (k + 1.0) * log1p_exp(-c * lz).sum(axis=-1)
+        - (k + 1.0) * log1p_exp(np.multiply(lz, -c, out=scale)).sum(axis=-1)
     )
 
 
@@ -336,18 +379,16 @@ class FitResult:
 # -- scan kernels: one score component at a column of nodes, evaluated as --
 # -- one (nodes, n) broadcast.  A single node gives the bits a grid gives. --
 
-_GRID_ELEMS = 1 << 13  # largest temporary of a grid pass: 64 KB of float64
-
-
 def _on_grid(kernel, nodes, n):
-    """kernel at each node, in chunks of rows of at most _GRID_ELEMS elements.
+    """kernel at each node, in chunks of rows of at most burr3._BLOCK elements.
 
-    Until a process frees a large block, glibc returns freed memory above
-    128 KiB to the system, so (8, 2000) chunks faulted in new pages on every
-    pass and ran slower than a loop over the nodes; 64 KB chunks never did.
+    That is the block size of the bulk kernels, 64 KB of float64, for the
+    same reason: until a process frees a large block, glibc returns freed
+    memory above 128 KiB to the system, so (8, 2000) chunks faulted in new
+    pages on every pass and ran slower than a loop over the nodes.
     """
     col = np.asarray(nodes, dtype=float).reshape(-1, 1)
-    rows = max(1, _GRID_ELEMS // n)
+    rows = max(1, _BLOCK // n)
     return np.concatenate([kernel(col[i : i + rows]) for i in range(0, len(col), rows)])
 
 

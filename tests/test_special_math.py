@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ class TestBetaFn:
         # B(0.6, 0.6) = integral of t^-0.4 (1-t)^-0.4 over (0, 1)
         q = integrate(lambda t: t**-0.4 * (1.0 - t) ** -0.4, 0.0, 1.0, tol=1e-10)
         assert beta_fn(0.6, 0.6) == pytest.approx(q.value, abs=1e-8)
+
+    @staticmethod
+    def _exact(x, n):
+        """B(x, n) = (n - 1)! / prod_{i < n} (x + i), exactly for the float x."""
+        m, q = x.as_integer_ratio()
+        den = 1
+        for i in range(n):
+            den *= m + i * q
+        return Fraction(math.factorial(n - 1) * q**n, den)
+
+    def _check_exact(self, x, n):
+        want = self._exact(x, n)
+        for got in (beta_fn(x, n), beta_fn(n, x)):
+            assert abs(Fraction(got) / want - 1) <= 2e-14, (x, n)
+
+    @given(st.floats(10.0, 5000.0), st.integers(1, 6))
+    def test_exact_with_a_large_argument(self, x, n):
+        # lgamma(x) - lgamma(x + n) used to cancel: 4.9e-12 off at x = 5000.1
+        self._check_exact(x, n)
+
+    @given(st.floats(1e-3, 8.0, exclude_max=True), st.integers(8, 2000))
+    def test_exact_with_a_small_and_a_large_argument(self, x, n):
+        self._check_exact(x, n)
 
     @given(
         st.floats(0.05, 50.0, allow_nan=False),
