@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, whole_number
 from .special_math import log1p_exp
 
 __all__ = [
@@ -171,10 +171,9 @@ def burr3_sample(p, n, seed):
 
     Identical (p, n, seed) triples reproduce the identical array.
     """
-    if int(n) != n or n <= 0:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    rng = np.random.default_rng(int(seed))
-    u = rng.random(int(n))
+    n = whole_number(n, "n")
+    rng = np.random.default_rng(whole_number(seed, "seed", 0))
+    u = rng.random(n)
     # rng.random can emit exactly 0.0; push it onto the open interval
     u = np.where(u == 0.0, 2.0**-53, u)
     return burr3_quantile(p, u)

@@ -35,7 +35,7 @@ from .burr3 import (
     _quantile_from_neg_log,
     burr3_quantile,
 )
-from .errors import DensityLimitWarning, DomainError, MomentDoesNotExistError
+from .errors import DensityLimitWarning, DomainError, MomentDoesNotExistError, whole_number
 from .special_math import beta_fn, ln_gamma, log1p_exp
 
 __all__ = [
@@ -90,8 +90,7 @@ class MomentSpec:
     r: int
 
     def __post_init__(self):
-        if int(self.r) != self.r or self.r < 1:
-            raise DomainError(f"moment order must be a positive integer, got {self.r}")
+        whole_number(self.r, "moment order")
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,7 @@ class CfSpec:
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise DomainError(f"t must be finite, got {self.t}")
-        if int(self.terms) != self.terms or self.terms < 1:
-            raise DomainError(f"terms must be a positive integer, got {self.terms}")
+        whole_number(self.terms, "terms")
 
 
 class ModeStructure(enum.Enum):
@@ -303,9 +301,8 @@ def sample(p, n, seed):
     by sigma.  Reruns with the same seed reproduce the same array, and no
     draw lands exactly on mu.
     """
-    if int(n) != n or n <= 0:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    rng = np.random.default_rng(int(seed))
+    n = whole_number(n, "n")
+    rng = np.random.default_rng(whole_number(seed, "seed", 0))
     shapes = Burr3Params(p.c, p.k)
 
     # Every z is drawn before any sign-scale, as one rng.random(n) call
@@ -328,7 +325,7 @@ def sample(p, n, seed):
         if on_mu.any():
             yb[on_mu] = np.nextafter(p.mu, np.copysign(np.inf, u_mix[on_mu]))
 
-    y = np.empty(int(n))
+    y = np.empty(n)
     _blockwise(draw_z, y)
     _blockwise(sign_scale, y)
     return y

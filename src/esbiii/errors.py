@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the integer check."""
+
+import math
+import numbers
 
 
 class EsbError(Exception):
@@ -49,3 +52,22 @@ class ParseError(EsbError, ValueError):
 
 class DensityLimitWarning(RuntimeWarning):
     """The density was evaluated where it diverges and a saturated value was returned."""
+
+
+def whole_number(value, what, minimum=1):
+    """value as an int: a count, order or seed.
+
+    Accepts an integral number, or a finite real equal to one, of at least
+    minimum (1 or 0); raises DomainError for anything else, so infinities,
+    nan and fractions never reach int().
+    """
+    if isinstance(value, numbers.Integral):
+        whole = int(value)
+    elif isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value):
+        whole = int(value)
+    else:
+        whole = None
+    if whole is None or whole < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise DomainError(f"{what} must be a {kind} integer, got {value!r}")
+    return whole

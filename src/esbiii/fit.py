@@ -5,58 +5,41 @@ The log-likelihood for a sample x_1..x_n, written with s_i = sign(x_i - mu)
 
     l = n log(ck / (2 sigma)) - (c+1) sum log z_i - (k+1) sum log(1 + z_i**-c)
 
-The fitter runs cyclic coordinate ascent in the order mu, sigma, c, k, eps.
-Each coordinate is updated by solving its score equation (k has a closed
-form); an update is kept only if the log-likelihood does not decrease, and
-a golden-section line search on the same coordinate takes over whenever
-the root step is unavailable or goes downhill.  The mu, sigma, c and eps
-updates share one rule: scan the score over a grid outward from the
-current value, in windows that widen only until no unscanned cell can
-hold a nearer sign change, and refine the nearest one by Brent's method,
-whose bracket ends are read from the scan rather than evaluated again.
-For mu only sign changes where the score falls through zero count: with
-mu increasing, a maximum can sit only there, while a rise marks a minimum
-or the upward jump of the floored score at the floor edge of an
-observation (see below).  A pattern step after each cycle extrapolates
-along the displacement the cycle produced, which cuts through the slow
-zigzag coordinate ascent suffers on the curved ridge that couples mu and
-eps.  All window and tolerance choices are relative, so fits commute with
-affine changes of the data.
+fit_ml fits y = s (x - median) / scale, scale the power of two just above
+the interquartile range and s = -1 when the upper quartile gap is the
+smaller one, and maps the estimate back, so shift, scale and reflection
+equivariance hold by construction.  Each start runs one loop.  An
+iteration makes three moves, each kept only if it raises the objective: a
+mu move (a 41-node scan, refined by golden section and Brent's method),
+one trust-region Newton step in theta = (mu, log sigma, log c, log k,
+atanh eps) with a forward-difference Hessian and the exact subproblem
+solution (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4), and
+a pattern step along the iteration's displacement, which cuts along the
+curved ridge coupling mu and eps.  The Newton step holds mu while c*k < 1
+or mu is pinned (below), and c while fixed_c is set.
 
-When c*k < 1 the density diverges at every observation, so the exact
-likelihood has an integrable spike at each data point and its supremum
-over mu is infinite.  The fitter therefore maximizes a bounded working
-objective in which every |x_i - mu| is floored at the sample resolution
-(half the median gap between adjacent order statistics -- below that
-distance the sample cannot localize mu anyway).  The floor caps each
-spike at the level of an ordinary point's contribution, leaving nothing
-for the optimizer to chase, and the working objective equals the exact
-log-likelihood whenever mu keeps the floor distance from every
-observation.  In the spiked regime the mu score has a pole at every data
-point and no root, so the mu update switches to direct search.  Whenever
-mu ends up within the floor distance of an observation -- always the
-case in the spiked regime, and occasionally just above c*k = 1 where the
-repulsion of data points is too weak to push mu out of the dead zone --
-the mu component is dropped from the convergence norm, since no score
-equation holds at such a pin, and the two objectives differ at the
-solution by a bounded amount: below c*k = 1 the floor truncates an
-infinite spike (exact above working), just above it the floor slightly
-inflates the pinned point's contribution (working above exact).
+When c*k < 1 the density diverges at every observation and the likelihood
+is unbounded in mu, so the fitter maximizes a working objective in which
+every |x_i - mu| is floored at the sample resolution (half the median gap
+between adjacent order statistics).  It is the exact log-likelihood while
+mu keeps the floor distance from every observation.  When mu is pinned
+within the floor of one -- always below c*k = 1, at times just above --
+its score component leaves the convergence norm, and the two objectives
+differ by a bounded amount.  Objectives and scores run in blocks of
+burr3._BLOCK points whose partial sums are added by math.fsum.
 
-A cycle is a deterministic function of its starting point, so once a full
-cycle leaves every parameter unchanged (compared bit for bit) every later
-cycle would too.  The ascent then stops with converged=False even if
-max_cycles is not used up: the point is final, but its score norm stays
-above the tolerance.  Solve errors swallowed on the way to the golden
-fallback, and such fixed-point exits, are logged at DEBUG level.
+An iteration depends on its starting point alone (a failed trust-region
+step is retried from the initial radius), so once one leaves every
+parameter unchanged, bit for bit, every later one would too: the loop
+stops unconverged and logs the fixed point at DEBUG level.  It stops
+unconverged too when the tolerances are met with sigma (1 + |eps|) within
+the floor: the data then see only the tails, on the sigma -> 0, k -> inf ray.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -64,15 +47,8 @@ import numpy as np
 
 from .burr3 import _BLOCK, _blockwise, _pick
 from .distribution import Params
-from .errors import (
-    BracketError,
-    DegenerateDataError,
-    DensityLimitWarning,
-    DomainError,
-    NoBracketError,
-    NonConvergenceError,
-    SmallSampleError,
-)
+from .errors import DegenerateDataError, DensityLimitWarning, DomainError, NoBracketError
+from .errors import SmallSampleError, whole_number
 from .special_math import find_root, log1p_exp
 
 __all__ = [
@@ -104,16 +80,13 @@ class StandardizedSample:
     z: np.ndarray
 
 
-def _fold(x, mu, floor=0.0):
-    """d = x - mu, its signs s (sign(0) = +1) and the floored |d|."""
-    d = x - mu
-    return d, np.where(d >= 0.0, 1.0, -1.0), np.maximum(np.abs(d), floor)
-
-
 def _split_sample(x, mu, sigma, eps, floor=0.0):
-    d, s, mag = _fold(x, mu, floor)
+    """d = x - mu, its signs s (sign(0) = +1) and z = max(|d|, floor) / (sigma (1 + s eps))."""
+    d = x - mu
+    pos = d >= 0.0
     # s * eps is exactly +-eps, so the two scales carry the bits of sigma * (1 + s eps)
-    return d, s, mag / np.where(d >= 0.0, sigma * (1.0 + eps), sigma * (1.0 - eps))
+    scale = np.where(pos, sigma * (1.0 + eps), sigma * (1.0 - eps))
+    return d, np.where(pos, 1.0, -1.0), np.maximum(np.abs(d), floor) / scale
 
 
 def standardize(p, data):
@@ -133,12 +106,7 @@ def _data_resolution(x):
 
 @dataclass(frozen=True)
 class _FlooredSample:
-    """The sample an ascent hands to solve_coordinate, with the fit's floor.
-
-    The floor and the 5-95% quantile spread (which sizes the mu scan)
-    depend on the data alone, so a fit computes them once instead of in
-    every coordinate solve.
-    """
+    """A sample with its resolution floor and its 5-95% quantile spread (the mu scan's size)."""
 
     values: np.ndarray
     floor: float
@@ -151,23 +119,41 @@ def _floored(x):
 
 
 def _fsum(parts):
-    """Correctly rounded sum of block partials (math.fsum).
-
-    Where fsum cannot round, at inf - inf or a finite sum that overflows,
-    the plain sum gives the nan or inf a single pass would.
-    """
+    """math.fsum of block partials, or where it cannot round (inf - inf, overflow) their sum."""
     try:
         return math.fsum(parts)
     except (ValueError, OverflowError):
         return sum(parts)
 
 
+def _block_loglik(x, mu, sigma, c, k, eps, floor):
+    """One block's working objective in the buffer of x - mu; one per node of a mu column."""
+    d = np.subtract(x, mu)
+    # z = max(|d|, floor) / (sigma (1 + s eps)) in d's buffer, as in _split_sample
+    scale = _pick(d >= 0.0, sigma * (1.0 + eps), sigma * (1.0 - eps))
+    lz = np.abs(d, out=d)
+    np.maximum(lz, floor, out=lz)
+    lz /= scale
+    np.log(lz, out=lz)
+    return (
+        x.size * math.log(c * k / (2.0 * sigma))
+        - (c + 1.0) * lz.sum(axis=-1)
+        - (k + 1.0) * log1p_exp(np.multiply(lz, -c, out=scale)).sum(axis=-1)
+    )
+
+
+def _fit_loglik(x, mu, sigma, c, k, eps, floor):
+    """The log-likelihood with each |x_i - mu| floored; exact where min |x_i - mu| >= floor.
+
+    Up to one block it has the bits of a single pass.
+    """
+    return _fsum(_blockwise(lambda xb: _block_loglik(xb, mu, sigma, c, k, eps, floor), x))
+
+
 def _exact_loglik(x, mu, sigma, c, k, eps):
     # z = 0 (a point at mu, or so close that z underflows) makes the sum nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _fsum(
-            _blockwise(lambda xb: _fit_loglik(xb, mu, sigma, c, k, eps, 0.0), x)
-        )
+        return _fit_loglik(x, mu, sigma, c, k, eps, 0.0)
 
 
 def _loglik_arrays(x, mu, sigma, c, k, eps):
@@ -259,14 +245,11 @@ def _score_sums(x, mu, sigma, c, k, eps, floor):
 
 
 def _work_score(x, mu, sigma, c, k, eps, floor):
-    """Score of the working (resolution-floored) objective.
+    """Score of the working objective; floor = 0 gives the exact score.
 
-    Points inside the floor contribute a constant to the objective, hence
-    nothing to the mu component; the other components use the floored z.
-    Identical to the exact score when mu is off-floor for every point, and
-    floor = 0 gives the exact score.  The sums are taken per block and
-    added by _fsum, so up to one block the result has the bits of a single
-    pass.
+    Points inside the floor add a constant to the objective, hence nothing
+    to the mu component; the others use the floored z.  Up to one block
+    the result has the bits of a single pass.
     """
     n = x.size
     blocks = _blockwise(lambda xb: _score_sums(xb, mu, sigma, c, k, eps, floor), x)
@@ -284,11 +267,8 @@ def _mu_pinned(x, mu, floor):
 def _scaled_score_norm(g, p, include_mu, include_c=True):
     """Max-norm of the score in relative coordinates (log sigma, log c, ...).
 
-    Only free coordinates count.  include_c is cleared when c is held
-    fixed.  The mu component only counts when include_mu is set: the
-    fitter drops it whenever mu is pinned at the resolution floor of an
-    observation (always the case in the c*k < 1 comb regime), where the
-    mu score cannot vanish.
+    Only free coordinates count: include_c is cleared when c is held, and
+    include_mu when mu is pinned at a floor, where its score cannot vanish.
     """
     parts = [p.sigma * abs(g[1]), p.k * abs(g[3]), abs(g[4])]
     if include_c:
@@ -298,35 +278,13 @@ def _scaled_score_norm(g, p, include_mu, include_c=True):
     return max(parts)
 
 
-def _fit_loglik(x, mu, sigma, c, k, eps, floor):
-    """Bounded working objective maximized by the optimizer.
-
-    The exact log-likelihood with each |x_i - mu| floored; see the module
-    docstring.  Agrees with the exact value to the last bit whenever
-    min |x_i - mu| >= floor.  A column of mu nodes gives one value per node.
-    """
-    n = x.size
-    d = np.subtract(x, mu)
-    # z = max(|d|, floor) / (sigma (1 + s eps)) in d's buffer, as in _split_sample
-    scale = _pick(d >= 0.0, sigma * (1.0 + eps), sigma * (1.0 - eps))
-    lz = np.abs(d, out=d)
-    np.maximum(lz, floor, out=lz)
-    lz /= scale
-    np.log(lz, out=lz)
-    return (
-        n * math.log(c * k / (2.0 * sigma))
-        - (c + 1.0) * lz.sum(axis=-1)
-        - (k + 1.0) * log1p_exp(np.multiply(lz, -c, out=scale)).sum(axis=-1)
-    )
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for fit_ml.
 
     score_tol is the threshold on the scaled score max-norm; None means
-    1e-5 * n.  init=None selects the moment-based start.  fixed_c pins c
-    and removes it from the update cycle (4 free parameters).
+    1e-5 * n.  init=None selects the built-in starts.  fixed_c pins c
+    and removes it from the fit (4 free parameters).
     """
 
     max_cycles: int = 500
@@ -336,12 +294,11 @@ class FitConfig:
     fixed_c: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.max_cycles, numbers.Integral) and self.max_cycles >= 1):
-            raise DomainError("max_cycles must be an integer of at least 1")
-        if not self.param_tol > 0.0:
-            raise DomainError("param_tol must be positive")
-        if self.score_tol is not None and not self.score_tol > 0.0:
-            raise DomainError("score_tol must be positive")
+        object.__setattr__(self, "max_cycles", whole_number(self.max_cycles, "max_cycles"))
+        if not 0.0 < self.param_tol < math.inf:
+            raise DomainError("param_tol must be positive and finite")
+        if self.score_tol is not None and not 0.0 < self.score_tol < math.inf:
+            raise DomainError("score_tol must be positive and finite")
         if self.fixed_c is not None and not 0.0 < self.fixed_c < math.inf:
             raise DomainError("fixed_c must be positive and finite")
 
@@ -350,20 +307,14 @@ class FitConfig:
 class FitResult:
     """Outcome of fit_ml.
 
-    loglik is the maximized working objective (equal to the last trace
-    entry); it coincides with the exact log-likelihood at params unless
-    mu sits within the resolution floor of an observation: always the
-    case when the fitted c*k < 1, where the exact value is at least as
-    large, and occasionally just above c*k = 1, where the floor inflates
-    the value by a bounded amount (see the module docstring).
-    score_norm is the scaled norm of the working score, omitting
-    the mu component when mu is pinned at the floor of an observation
-    (always the case when the fitted c*k < 1), where the mu score cannot
-    vanish (see the module docstring).  trace holds (cycle, loglik)
-    pairs and never decreases in its second column; cycles equals its
-    last cycle number.  An unconverged result may report cycles below
-    max_cycles: its ascent stopped at a point that a full cycle leaves
-    unchanged, where more cycles could not move it.
+    loglik is the maximized working objective, the last trace entry; it is
+    the exact log-likelihood unless mu is pinned at the floor of an
+    observation (see the module docstring).  score_norm is the scaled
+    working-score norm, without the mu component when mu is pinned.
+    trace holds (iteration, loglik) pairs, never decreasing; cycles is
+    its last iteration, and every iteration but the last moved the
+    parameters.  An unconverged result with cycles below max_cycles
+    stopped at a fixed point or on the boundary ray.
     """
 
     params: Params
@@ -376,236 +327,242 @@ class FitResult:
     trace: tuple[tuple[int, float], ...]
 
 
-# -- scan kernels: one score component at a column of nodes, evaluated as --
-# -- one (nodes, n) broadcast.  A single node gives the bits a grid gives. --
+# -- the trust-region Newton step in theta = (mu, log sigma, log c, log k, atanh eps) --
 
-def _on_grid(kernel, nodes, n):
-    """kernel at each node, in chunks of rows of at most burr3._BLOCK elements.
-
-    That is the block size of the bulk kernels, 64 KB of float64, for the
-    same reason: until a process frees a large block, glibc returns freed
-    memory above 128 KiB to the system, so (8, 2000) chunks faulted in new
-    pages on every pass and ran slower than a loop over the nodes.
-    """
-    col = np.asarray(nodes, dtype=float).reshape(-1, 1)
-    rows = max(1, _BLOCK // n)
-    return np.concatenate([kernel(col[i : i + rows]) for i in range(0, len(col), rows)])
+_RADIUS0 = 1.0  # initial trust radius in theta, and the radius a failed step retries
+_MAX_RADIUS = 8.0
+_MIN_RADIUS = 1e-12  # shorter steps are below the fit's resolution
+_FD_STEP = 1e-6  # forward-difference step in theta (times sigma for mu)
+_LOG_EDGE = 700.0  # |log sigma|, |log c|, |log k| stay where exp is finite and nonzero
 
 
-def _at(kernel, v):
-    """kernel at the single node v, as a float."""
-    return float(kernel(np.array([[v]]))[0])
+def _theta_score(x, p, free, floor):
+    """The working score in theta, at the free coordinates."""
+    g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
+    return (g * [1.0, p.sigma, p.c, p.k, 1.0 - p.eps * p.eps])[free]
 
 
-def _mu_score(x, mu, sigma, c, k, eps, floor):
-    d, s, mag = _fold(x, mu, floor)
-    coef = (c + 1.0) - c * (k + 1.0) * _tmix(np.log(mag / (sigma * (1.0 + s * eps))), c)
-    live = mag > floor
-    return (np.where(live, coef, 0.0) / np.where(live, d, 1.0)).sum(axis=-1)
-
-
-def _sigma_score_scaled(mag, w, c, k, sigma):
-    # sigma * dl/dsigma = c * (n - (k+1) * sum 1/(1+z**c)), z = mag / (sigma w)
-    return c * (mag.size - (k + 1.0) * _tmix(np.log(mag / (sigma * w)), c).sum(axis=-1))
-
-
-def _c_score(lz, lz_sum, k, c):
-    return lz.size / c[:, 0] - lz_sum + (k + 1.0) * (lz * _tmix(lz, c)).sum(axis=-1)
-
-
-def _eps_score(s, mag, sigma, c, k, eps):
-    z = mag / (sigma * (1.0 + s * eps))
-    coef = (c + 1.0) - c * (k + 1.0) * _tmix(np.log(z), c)
-    return (coef / (s + eps)).sum(axis=-1)
-
-
-def _brent_root(f, a, b, tol, known):
-    """Brent's root of f in [a, b].
-
-    known holds values of f that a scan already computed, the bracket ends
-    among them; those nodes are read, not evaluated again.
-    """
-    return find_root(
-        lambda v: known[v] if v in known else f(v), a, b, tol=tol, max_iter=200
-    ).root
-
-
-def _scan_brackets(xs, vals, falling=False, ends_grid=True):
-    """Adjacent sign-change pairs (a, b) from a scan, plus exact zeros.
-
-    With falling set, a pair is kept only where the values fall through
-    zero: vals(a) > 0 >= vals(b).  A zero at the last node counts only if
-    ends_grid says that node ends the grid; otherwise its cell is undecided.
-    """
-    pairs = []
-    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
-        if not (math.isfinite(fa) and math.isfinite(fb)):
+def _moved(p, free, step):
+    """p with its free theta coordinates moved by step; the others keep their bits."""
+    new = {}
+    for i, h in zip(free, step):
+        if h == 0.0:
             continue
-        if fa == 0.0:
-            pairs.append((float(a), float(a)))
-        elif (fa > 0.0) != (fb > 0.0) and (fa > 0.0 or not falling):
-            pairs.append((float(a), float(b)))
-    if ends_grid and vals and math.isfinite(vals[-1]) and vals[-1] == 0.0:
-        pairs.append((float(xs[-1]), float(xs[-1])))
-    return pairs
+        name = COORD_NAMES[i]
+        v = getattr(p, name)
+        if i == 0:
+            new[name] = float(v + h)
+        elif i == 4:
+            e = math.tanh(math.atanh(v) + h)
+            new[name] = min(max(e, -1.0 + _EPS_EDGE), 1.0 - _EPS_EDGE)
+        else:
+            new[name] = math.exp(min(max(math.log(v) + h, -_LOG_EDGE), _LOG_EDGE))
+    return replace(p, **new)
 
 
-def _nearest_root(kern, grid, v0, n, tol, what, node=lambda v: v, falling=False):
-    """Root in v of kern(node(v)), refined from a scan over the ascending grid.
+def _theta_hessian(x, p, g, free, floor):
+    """Forward differences of the theta score, symmetrized."""
+    cols = []
+    for i in free:
+        h = _FD_STEP * (p.sigma if i == 0 else 1.0)
+        cols.append((_theta_score(x, _moved(p, [i], [h]), free, floor) - g) / h)
+    hess = np.array(cols)
+    return 0.5 * (hess + hess.T)
 
-    Brent's method runs on the scan's sign change nearest v0 (the first in
-    grid order among equally near ones; with falling set, only changes from
-    positive to non-positive count); an exact zero on the grid is
-    returned as it is.  The scan evaluates the grid outward from v0: first
-    the nodes next to v0, then windows twice as wide on each side, and
-    only on the sides that could still hold a nearer sign change.
-    A cell left of the window is at least as far as the window's left edge
-    and wins ties, one right of it is at least as far as the right edge and
-    loses them, so the pair chosen is the full scan's.  Raises
-    NoBracketError(what) when the whole grid has no sign change.
+
+def _tr_subproblem(g, hess, radius):
+    """The step s maximizing g.s + s.hess.s / 2 over |s| <= radius.
+
+    With hess = -Q diag(lam) Q' (lam ascending), s = Q u, u = Q'g / (lam +
+    shift): the Newton step (shift 0) when it lies inside, else the root
+    of the secular equation 1/radius - 1/|u| = 0, bracketed from 1e-9 of
+    the bracket above the pole -lam[0] so that Brent's method resolves it,
+    and scaled onto the sphere.  When |u| is inside the radius even there
+    (the hard case), u's first component is set to reach the radius.
     """
-    last = len(grid) - 1
-    i = min(bisect.bisect_left(grid, v0), last)
-    lo, hi = max(i - 1, 0), min(i + 1, last)
-    known = {}
-    new, step = grid[lo : hi + 1], 2
-    while True:
-        known.update(zip(new, _on_grid(kern, [node(v) for v in new], n).tolist()))
-        window = grid[lo : hi + 1]
-        pairs = _scan_brackets(window, [known[v] for v in window], falling, hi == last)
-        dists = [min(abs(a - v0), abs(b - v0)) for a, b in pairs]
-        best = min(dists, default=math.inf)
-        left = lo > 0 and not best < abs(grid[lo] - v0)
-        right = hi < last and not best <= abs(grid[hi] - v0)
-        if not (left or right):
+    lam, q = np.linalg.eigh(-hess)
+    gt = q.T @ g
+
+    def u(shift):
+        return np.divide(gt, lam + shift, out=np.zeros_like(gt), where=gt != 0.0)
+
+    if lam[0] > 0.0:
+        s = u(0.0)
+        if np.linalg.norm(s) <= radius:
+            return q @ s
+    hi = max(0.0, -lam[0]) + np.linalg.norm(gt) / radius  # there |u| <= radius
+    lo = max(0.0, -lam[0]) + 1e-9 * hi
+    s = u(lo)
+    if np.linalg.norm(s) <= radius:
+        rest = float(np.linalg.norm(s[1:]))
+        s[0] = math.copysign(math.sqrt(radius * radius - rest * rest), gt[0])
+        return q @ s
+    root = find_root(
+        lambda t: 1.0 / radius - 1.0 / np.linalg.norm(u(t)), lo, hi, tol=1e-6 / radius
+    ).root
+    s = u(root)
+    return q @ (s * (radius / np.linalg.norm(s)))
+
+
+def _tr_move(x, p, ll, free, radius, floor):
+    """One trust-region Newton step over the free coordinates; returns (p, ll, radius).
+
+    A step is kept only if it raises the objective, else the radius shrinks
+    to a quarter of the step.  Below _MIN_RADIUS the search starts over
+    once from _RADIUS0, so a failed move depends on p alone, and the
+    radius is reset to _RADIUS0.
+    """
+    g = _theta_score(x, p, free, floor)
+    hess = _theta_hessian(x, p, g, free, floor)
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
+        return p, ll, _RADIUS0
+    tries = (radius, _RADIUS0) if radius != _RADIUS0 else (_RADIUS0,)
+    for radius in tries:
+        while radius >= _MIN_RADIUS:
+            s = _tr_subproblem(g, hess, radius)
+            gain = float(g @ s + 0.5 * s @ hess @ s)
+            q = _moved(p, free, s)
+            if not gain > 0.0 or q == p:
+                break
+            q_ll = _fit_loglik(x, q.mu, q.sigma, q.c, q.k, q.eps, floor)
+            length = float(np.linalg.norm(s))
+            if q_ll > ll:
+                rho = (q_ll - ll) / gain
+                if rho < 0.25:
+                    radius = 0.25 * length
+                elif rho > 0.75 and length > 0.99 * radius:
+                    radius = min(2.0 * radius, _MAX_RADIUS)
+                return q, q_ll, radius
+            radius = 0.25 * length
+    return p, ll, _RADIUS0
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, a, b, width):
+    """Golden-section search to a bracket below width; returns it and its best probe (x, f(x))."""
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(90):
+        if b - a < width:
             break
-        new = []
-        if left:
-            new += grid[max(lo - step, 0) : lo]
-            lo = max(lo - step, 0)
-        if right:
-            new += grid[hi + 1 : hi + 1 + step]
-            hi = min(hi + step, last)
-        step *= 2
-    if not pairs:
-        raise NoBracketError(what)
-    a, b = pairs[dists.index(best)]
-    if a == b:
-        return a
-    return _brent_root(lambda v: _at(kern, node(v)), a, b, tol, known)
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    return (a, b, x1, f1) if f1 >= f2 else (a, b, x2, f2)
 
 
-def _eps_grid():
-    inner = np.linspace(0.05, 0.8, 16)
-    outer = 1.0 - np.geomspace(1e-8, 0.1, 8)[::-1]
-    pos = np.concatenate([inner, outer])
-    return np.concatenate([-pos[::-1], [0.0], pos])
+def _line_max(f, a, b, x, fx, tol):
+    """Brent's maximization of f on [a, b] from x inside it, fx = f(x).
+
+    Golden-section steps, or parabolic ones where they fall inside the
+    bracket and shrink (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5), until the bracket is within 4 tol.
+    Returns the best probe (x, f(x)).
+    """
+    fx = -fx  # minimize -f
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    for _ in range(200):
+        if abs(x - 0.5 * (a + b)) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d, golden = d, p / q, False
+                if min(x + d - a, b - x - d) < 2.0 * tol:
+                    d = math.copysign(tol, 0.5 * (a + b) - x)
+        if golden:
+            e = a - x if x >= 0.5 * (a + b) else b - x
+            d = (1.0 - _GOLDEN) * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x, -fx
 
 
-_EPS_GRID = np.clip(_eps_grid(), -1.0 + _EPS_EDGE, 1.0 - _EPS_EDGE)
+def _comb_mu_update(x, p, floor, spread):
+    """The mu move: the best of 41 nodes over mu +- max(4 sigma (1 + |eps|), spread).
 
-
-def _comb_mu_update(x, p, grid, floor):
-    """Best mu in the c*k < 1 regime: a value scan over grid, then golden refinement.
-
-    In that regime the exact mu score has a pole at every data point and
-    the likelihood equation no root, so the update maximizes the working
-    objective directly.
+    The two cells around the best node are searched by golden section down
+    to the floor's width, then by Brent's method to a millionth of it; the
+    best node stays when that ends lower.  Returns (mu, objective).  The
+    objective is maximized directly because the mu score has a pole at
+    every observation when c*k < 1.
     """
 
     def f(m):
         return _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor)
 
-    vals = _on_grid(f, grid, x.size)
+    width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), spread)
+    grid = p.mu + np.linspace(-width, width, 41)
+    if x.size > _BLOCK:
+        vals = [f(m) for m in grid]
+    else:  # rows of nodes that fill a block at a time
+        col, rows = grid.reshape(-1, 1), _BLOCK // x.size
+        vals = np.concatenate([
+            _block_loglik(x, col[i : i + rows], p.sigma, p.c, p.k, p.eps, floor)
+            for i in range(0, grid.size, rows)
+        ])
+    grid = grid.tolist()
     i = int(np.argmax(vals))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid.size - 1)])
-    m, _ = _golden_max(f, lo, hi)
-    return float(m)
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    lo, hi, m, val = _golden_max(f, lo, hi, floor)
+    m, val = _line_max(f, lo, hi, m, val, 1e-6 * floor)
+    return (float(m), val) if val >= vals[i] else (grid[i], float(vals[i]))
 
 
 def solve_coordinate(p, which, data, cfg=None):
-    """Solve the score equation for one coordinate, holding the others at p.
+    """Maximize the working objective over one coordinate, holding the others at p.
 
-    Returns the new coordinate value.  `which` is one of COORD_NAMES.  The
-    score used is that of the resolution-floored working objective, which
-    matches the exact score whenever mu keeps the floor distance from all
-    observations.  k has a closed form.  mu (when c*k >= 1), sigma, c and
-    eps take the scan's sign change nearest their current value, refined by
-    Brent's method (the module docstring gives the rule); for mu only
-    falling ones, g(a) > 0 >= g(b), count, since a maximum can sit only
-    there.  For mu with c*k < 1 the score equation has no root (dl/dmu has
-    a pole at every observation), so the update maximizes the working
-    objective.
-
-    Raises NoBracketError when the scan finds no such sign change, and
-    BracketError or NonConvergenceError if Brent's method fails.  The floor
-    and the mu window are computed from the data, unless the data come
-    from a running fit that carries them.
+    Returns the new value of `which`, one of COORD_NAMES.  k has a closed
+    form, mu takes the fitter's mu move, and sigma, c and eps repeat the
+    fitter's trust-region step on that coordinate alone until it no longer
+    gains.  Raises NoBracketError when the k update is undefined.
     """
     if which not in COORD_NAMES:
         raise DomainError(f"unknown coordinate {which!r}")
     if not isinstance(data, _FlooredSample):
         data = _floored(np.asarray(data.values, dtype=float))
     x, floor = data.values, data.floor
-    n = x.size
-    res_tol = 1e-9 * n
-
     if which == "mu":
-        # c*k < 1: direct search (no root exists); else a falling sign change
-        width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread)
-        grid = p.mu + np.linspace(-width, width, 41)
-        if p.c * p.k < 1.0:
-            return _comb_mu_update(x, p, grid, floor)
-
-        def kern(m):
-            return _mu_score(x, m, p.sigma, p.c, p.k, p.eps, floor)
-
-        msg = "no falling sign change of the mu score in the window"
-        tol_mu = res_tol / p.sigma
-        return _nearest_root(kern, grid.tolist(), p.mu, n, tol_mu, msg, falling=True)
-
-    _, s, mag = _fold(x, p.mu, floor)
-    w = 1.0 + s * p.eps
-
+        return _comb_mu_update(x, p, floor, data.spread)[0]
     if which == "k":
         # dl/dk = n/k - sum log(1 + z**-c) vanishes at exactly one k
-        denom = log1p_exp(-p.c * np.log(mag / (p.sigma * w))).sum()
+        z = _split_sample(x, p.mu, p.sigma, p.eps, floor)[2]
+        denom = log1p_exp(-p.c * np.log(z)).sum()
         if not (denom > 0.0 and math.isfinite(denom)):
             raise NoBracketError("k update undefined for this configuration")
-        return float(n / denom)
-
-    if which == "sigma":
-        # strictly decreasing in log sigma, so one sign change at most
-        def kern(sg):
-            return _sigma_score_scaled(mag, w, p.c, p.k, sg)
-
-        ls0 = math.log(p.sigma)
-        steps = 2.0 ** np.arange(8.0)  # 1, 2, 4, ..., 128
-        grid = (ls0 + np.concatenate([-steps[::-1], [0.0], steps])).tolist()
-        msg = "sigma score has no sign change in range"
-        tol = res_tol * max(1.0, p.c)
-        return math.exp(_nearest_root(kern, grid, ls0, n, tol, msg, math.exp))
-
-    if which == "c":
-        lz = np.log(mag / (p.sigma * w))
-        lz_sum = lz.sum()
-
-        def kern(c):
-            return _c_score(lz, lz_sum, p.k, c)
-
-        lc0 = math.log(p.c)
-        offsets = (-16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
-        msg = "c score has no sign change in the scan range"
-        grid = [lc0 + o for o in offsets]
-        return math.exp(_nearest_root(kern, grid, lc0, n, res_tol, msg, math.exp))
-
-    def kern(e):
-        return _eps_score(s, mag, p.sigma, p.c, p.k, e)
-
-    grid = np.unique(np.append(_EPS_GRID, p.eps)).tolist()
-    msg = "eps score has no sign change in (-1, 1)"
-    return _nearest_root(kern, grid, p.eps, n, res_tol, msg)
+        return float(x.size / denom)
+    free = [COORD_NAMES.index(which)]
+    ll, radius = _fit_loglik(x, p.mu, p.sigma, p.c, p.k, p.eps, floor), _RADIUS0
+    for _ in range((cfg or FitConfig()).max_cycles):
+        q, ll, radius = _tr_move(x, p, ll, free, radius, floor)
+        if q == p:
+            break
+        p = q
+    return getattr(p, which)
 
 
 _INIT_SHAPE_GRID = ((2.0, 1.0), (5.0, 0.2), (1.5, 3.0), (20.0, 0.2))
@@ -638,55 +595,8 @@ def moment_init(data, fixed_c=None):
     return Params(mu=mu0, sigma=sigma0, c=best_pair[0], k=best_pair[1], eps=eps0)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, a, b, iters=90):
-    """Golden-section maximization; returns the best probed (x, f(x))."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(iters):
-        if b - a <= 1e-12 * (1.0 + abs(a) + abs(b)):
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-            if f1 > best[1]:
-                best = (x1, f1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-            if f2 > best[1]:
-                best = (x2, f2)
-    return best
-
-
-def _golden_update(x, p, which, floor):
-    """Line-search fallback on one coordinate; returns (params, loglik)."""
-
-    def ll_with(**kw):
-        q = replace(p, **kw)
-        return _fit_loglik(x, q.mu, q.sigma, q.c, q.k, q.eps, floor)
-
-    if which == "mu":
-        half = 4.0 * p.sigma * (1.0 + abs(p.eps))
-        m, ll = _golden_max(lambda v: ll_with(mu=v), p.mu - half, p.mu + half)
-        return replace(p, mu=m), ll
-    if which == "eps":
-        v, ll = _golden_max(lambda e: ll_with(eps=e), -1.0 + _EPS_EDGE, 1.0 - _EPS_EDGE)
-        return replace(p, eps=v), ll
-    cur = getattr(p, which)
-    lv = math.log(cur)
-    v, ll = _golden_max(lambda u: ll_with(**{which: math.exp(u)}), lv - 2.0, lv + 2.0)
-    return replace(p, **{which: math.exp(v)}), ll
-
-
 def _pattern_step(x, p_prev, p, ll, floor):
-    """Extrapolate along the last cycle's displacement while it improves.
+    """Extrapolate along the last iteration's displacement while it improves.
 
     Doubles the step in the fit's natural coordinates (log scale for
     sigma, c, k); a ridge accelerator in the usual pattern-search sense.
@@ -725,29 +635,34 @@ def _rel_change(p_new, p_old):
     )
 
 
-_START_EPS = (0.0, 0.6, -0.6)  # eps values seeding the multi-start ascents
+_START_EPS = (0.0, 0.6, -0.6)  # eps values seeding the multi-start loops
+_START_SHAPES = ((2.0, 1.0), (5.0, 0.1))  # (c, k) tried besides moment_init's
 
 
 def _start_points(data, fixed_c):
-    """Deterministic initial values spanning the mu-eps ridge.
+    """Up to nine initial values: three points on the mu-eps ridge times three shapes.
 
-    The first start is moment_init.  The others re-seed eps directly and
-    place mu at the empirical (1 - eps)/2 quantile, where the population
-    CDF equals that level at mu; the likelihood couples mu and eps along
-    a shallow curved ridge, so a single start sometimes converges to a
-    local optimum on the wrong part of it.
+    moment_init's point, and two that re-seed eps and place mu at the
+    empirical (1 - eps)/2 quantile, where the population CDF equals that
+    level at mu: the likelihood couples mu and eps along a shallow curved
+    ridge with local optima.  Each takes moment_init's (c, k) and those of
+    _START_SHAPES (with c = fixed_c when c is pinned), without repeats.
     """
     base = moment_init(data, fixed_c)
-    x = np.asarray(data.values, dtype=float)
-    starts = [base]
-    for e0 in _START_EPS[1:]:
-        mu0 = float(np.quantile(x, 0.5 * (1.0 - e0)))
-        starts.append(replace(base, mu=mu0, eps=e0))
-    return starts
+    ridge = [base] + [
+        replace(base, mu=float(np.quantile(data.values, 0.5 * (1.0 - e0))), eps=e0)
+        for e0 in _START_EPS[1:]
+    ]
+    shapes = [(base.c, base.k)]
+    for c0, k0 in _START_SHAPES:
+        shape = (c0 if fixed_c is None else base.c, k0)
+        if shape not in shapes:
+            shapes.append(shape)
+    return [replace(r, c=c0, k=k0) for r in ridge for c0, k0 in shapes]
 
 
 def _ascend(data, p, cfg, score_tol):
-    """One coordinate-ascent run from p.
+    """One run of the fitter's loop from p.
 
     data is the fit's _FlooredSample.  Returns (p, ll, converged, cycles,
     trace, norm), norm being the scaled working-score norm at the final p.
@@ -756,83 +671,71 @@ def _ascend(data, p, cfg, score_tol):
     ll = _fit_loglik(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
     if math.isnan(ll):
         raise DegenerateDataError("likelihood undefined at the starting point")
-    active = tuple(c for c in COORD_NAMES if not (c == "c" and cfg.fixed_c is not None))
+    shape = [1, 3, 4] if cfg.fixed_c is not None else [1, 2, 3, 4]
     trace = [(0, float(ll))]
-    converged = False
-    cycle = 0
+    converged, radius, cycle = False, _RADIUS0, 0
     for cycle in range(1, cfg.max_cycles + 1):
         p_prev = p
-        for name in active:
-            cand, cand_ll = None, -math.inf
-            try:
-                val = solve_coordinate(p, name, data, cfg)
-                cand = replace(p, **{name: val})
-                cand_ll = _fit_loglik(
-                    x, cand.mu, cand.sigma, cand.c, cand.k, cand.eps, floor
-                )
-            except (
-                NoBracketError,
-                NonConvergenceError,
-                BracketError,
-                DomainError,
-            ) as exc:
-                _log.debug("cycle %d: %s update failed: %r", cycle, name, exc)
-            if cand is not None and cand_ll >= ll:
-                p, ll = cand, cand_ll
-                continue
-            alt, alt_ll = _golden_update(x, p, name, floor)
-            if alt_ll > ll:
-                p, ll = alt, alt_ll
+        mu, mu_ll = _comb_mu_update(x, p, floor, data.spread)
+        if mu_ll > ll:
+            p, ll = replace(p, mu=mu), mu_ll
+        hold_mu = p.c * p.k < 1.0 or _mu_pinned(x, p.mu, floor)
+        p, ll, radius = _tr_move(x, p, ll, shape if hold_mu else [0, *shape], radius, floor)
         p, ll = _pattern_step(x, p_prev, p, ll, floor)
         trace.append((cycle, float(ll)))
         g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
-        norm = _scaled_score_norm(
-            g,
-            p,
-            include_mu=not _mu_pinned(x, p.mu, floor),
-            include_c=cfg.fixed_c is None,
-        )
+        norm = _scaled_score_norm(g, p, not _mu_pinned(x, p.mu, floor), cfg.fixed_c is None)
         if _rel_change(p, p_prev) <= cfg.param_tol and norm <= score_tol:
-            converged = True
+            # a stop inside the resolution floor is on the sigma -> 0, k -> inf ray
+            converged = p.sigma * (1.0 + abs(p.eps)) > floor
+            if not converged:
+                _log.debug("cycle %d: stopped on the boundary ray, sigma %.3g", cycle, p.sigma)
             break
         if p == p_prev:
-            # fixed point of the cycle: every later cycle would repeat this one
+            # fixed point: every later iteration would repeat this one
             _log.debug("cycle %d: fixed point at loglik %.17g", cycle, ll)
             break
     return p, ll, converged, cycle, trace, norm
 
 
 def fit_ml(data, cfg=None):
-    """Maximum-likelihood fit by cyclic coordinate ascent.
+    """Maximum-likelihood fit by a trust-region Newton loop on standardized data.
 
-    Requires at least 20 observations.  Unless cfg.init pins the start,
-    the ascent is repeated from a small set of initial values spanning
-    the mu-eps ridge and the best final likelihood wins; the reported
-    trace is the winning run's and never decreases.  Convergence means
-    both the relative parameter change over a full cycle and the scaled
-    score norm fell below their tolerances; otherwise the best point
-    found is returned with converged=False.  An ascent also ends, with
-    converged=False, as soon as a full cycle leaves every parameter
-    unchanged, since every later cycle would repeat it; cycles can then be
-    below cfg.max_cycles.
+    Requires at least 20 observations.  The data are standardized by the
+    median, a power-of-two scale near the IQR and a reflection, fitted,
+    and mapped back, so params, loglik and trace refer to the data as
+    given.  Unless cfg.init pins the start, the loop runs from up to nine
+    starts (three points on the mu-eps ridge, three shapes each) and the
+    best final objective wins; the reported trace is the winning run's.
+    Convergence means both the relative parameter change over an
+    iteration and the scaled score norm fell below their tolerances.
+    Otherwise the best point found is returned with converged=False, also
+    at a fixed point, and on the boundary ray (sigma within the floor).
+    Data with over half the points tied fit only from a given cfg.init.
     """
     cfg = cfg or FitConfig()
     x = np.asarray(data.values, dtype=float)
     n = x.size
     if n < _MIN_N:
         raise SmallSampleError(f"need at least {_MIN_N} observations, got {n}")
-    floored = _floored(x)  # raises DegenerateDataError for constant data
+    med = float(np.median(x))
+    q25, q75 = np.quantile(x, [0.25, 0.75])
+    # over half the points tied: the range sets the scale (moment_init refuses such data)
+    width = q75 - q25 if q75 > q25 else np.ptp(x)
+    if not 0.0 < width < math.inf:
+        _data_resolution(x)  # constant data say so
+        raise DegenerateDataError("the sample's spread overflows")
+    sign = -1.0 if q75 - med < med - q25 else 1.0
+    scale = math.ldexp(1.0, math.frexp(width)[1])
+    floored = _floored(sign * (x - med) / scale)
     score_tol = cfg.score_tol if cfg.score_tol is not None else 1e-5 * n
 
     if cfg.init is not None:
-        starts = [cfg.init]
+        p = cfg.init
+        c = p.c if cfg.fixed_c is None else float(cfg.fixed_c)
+        starts = [Params(sign * (p.mu - med) / scale, p.sigma / scale, c, p.k, sign * p.eps)]
     else:
-        starts = _start_points(data, cfg.fixed_c)
-    if cfg.fixed_c is not None:
-        starts = [
-            s if s.c == cfg.fixed_c else replace(s, c=float(cfg.fixed_c))
-            for s in starts
-        ]
+        starts = _start_points(floored, cfg.fixed_c)
 
     best = None
     for s in starts:
@@ -840,14 +743,9 @@ def fit_ml(data, cfg=None):
         if best is None or run[1] > best[1]:
             best = run
     p, ll, converged, cycle, trace, norm = best
+    p = replace(p, mu=med + sign * scale * p.mu, sigma=scale * p.sigma, eps=sign * p.eps)
+    shift = n * math.log(scale)
+    ll = float(ll) - shift
     free = 4 if cfg.fixed_c is not None else 5
-    return FitResult(
-        params=p,
-        loglik=float(ll),
-        aic=2.0 * free - 2.0 * float(ll),
-        converged=converged,
-        cycles=cycle,
-        score_norm=float(norm),
-        free_params=free,
-        trace=tuple(trace),
-    )
+    trace = tuple((i, v - shift) for i, v in trace)
+    return FitResult(p, ll, 2.0 * free - 2.0 * ll, converged, cycle, float(norm), free, trace)

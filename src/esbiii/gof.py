@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .burr3 import _maybe_scalar
-from .errors import DomainError
+from .errors import DomainError, whole_number
 
 __all__ = [
     "Dataset",
@@ -141,8 +141,7 @@ def ks_pvalue(d, n):
 
 def aic(loglik, free_params):
     """Akaike information criterion, 2 * free_params - 2 * loglik."""
-    if int(free_params) != free_params or free_params < 1:
-        raise DomainError(f"free_params must be a positive integer, got {free_params}")
+    whole_number(free_params, "free_params")
     return 2.0 * free_params - 2.0 * loglik
 
 

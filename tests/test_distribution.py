@@ -194,6 +194,18 @@ class TestQuantile:
 
 
 class TestSample:
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(math.inf, 1), (math.nan, 1), (10, 1.5), (0, 1), (2.5, 1), (10, -1), (10, math.inf)],
+    )
+    def test_invalid_count_or_seed_rejected(self, n, seed):
+        from esbiii.burr3 import Burr3Params, burr3_sample
+
+        with pytest.raises(DomainError):
+            sample(Params(0.0, 1.0, 2.0, 1.0, 0.0), n, seed)
+        with pytest.raises(DomainError):
+            burr3_sample(Burr3Params(2.0, 1.0), n, seed)
+
     def test_deterministic(self):
         p = Params(0.0, 1.0, 5.0, 0.2, 0.4)
         assert np.array_equal(sample(p, 10, seed=42), sample(p, 10, seed=42))
@@ -267,10 +279,13 @@ class TestRawMoment:
             raw_moment(Params(1.0, 1.0, 5.0, 0.2, 0.0), MomentSpec(1))
 
     def test_invalid_order_rejected(self):
-        with pytest.raises(DomainError):
-            MomentSpec(0)
-        with pytest.raises(DomainError):
-            MomentSpec(-2)
+        for r in (0, -2, 1.5, math.inf, math.nan, "2"):
+            with pytest.raises(DomainError):
+                MomentSpec(r)
+        for terms in (0, 2.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                CfSpec(0.5, terms)
+        assert MomentSpec(np.int64(3)).r == 3
 
 
 class TestMeanVariance:
