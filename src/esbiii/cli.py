@@ -93,8 +93,17 @@ def render_document(doc):
     return _render_json(doc) + "\n"
 
 
-def _g17(x):
-    return format(float(x), ".17g")
+def _csv_text(manifest, columns, *values):
+    """A CSV file: the manifest comments, a column header, then a row per element.
+
+    Every row is formatted by one %-format of the whole table: "%.17g"
+    gives the bits of format(v, ".17g") for every float, nan and inf too.
+    """
+    lines = _manifest_comment_lines(manifest)
+    lines.append(f"# columns: {columns}")
+    row = ",".join(["%.17g"] * len(values))
+    table = "\n".join([row] * len(values[0])) % tuple(np.column_stack(values).ravel().tolist())
+    return "\n".join(lines) + "\n" + table + "\n"
 
 
 def _timestamp():
@@ -160,38 +169,51 @@ def read_values(path, column=None):
     whitespace delimiters are both accepted.  Raises ParseError with the
     offending line number.
     """
-    values = []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
-        for lineno, raw in enumerate(fh, 1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            parts = [t.strip() for t in (s.split(",") if "," in s else s.split())]
-            if column is None:
-                if len(parts) != 1:
-                    raise ParseError(
-                        f"{len(parts)} columns found; select one with --column",
-                        line=lineno,
-                    )
-                tok = parts[0]
-            else:
-                if column < 1 or column > len(parts):
-                    raise ParseError(
-                        f"column {column} out of range (line has {len(parts)})",
-                        line=lineno,
-                    )
-                tok = parts[column - 1]
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(f"not a number: {tok!r}", line=lineno) from None
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite value: {tok!r}", line=lineno)
-            values.append(v)
+        # the lines file iteration gives, newlines translated, without their ends
+        lines = fh.read().split("\n")
+    if column in (None, 1):
+        # one float() per data line; float() refuses a delimited line, so a
+        # delimiter, a bad token or a non-finite value takes the loop below
+        try:
+            values = np.array(
+                [float(s) for s in map(str.strip, lines) if s and not s.startswith("#")]
+            )
+        except ValueError:
+            values = None
+        if values is not None and values.size and np.isfinite(values).all():
+            return values
+    values = []
+    for lineno, raw in enumerate(lines, 1):
+        s = raw.strip()
+        if not s or s.startswith("#"):
+            continue
+        parts = [t.strip() for t in (s.split(",") if "," in s else s.split())]
+        if column is None:
+            if len(parts) != 1:
+                raise ParseError(
+                    f"{len(parts)} columns found; select one with --column",
+                    line=lineno,
+                )
+            tok = parts[0]
+        else:
+            if column < 1 or column > len(parts):
+                raise ParseError(
+                    f"column {column} out of range (line has {len(parts)})",
+                    line=lineno,
+                )
+            tok = parts[column - 1]
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ParseError(f"not a number: {tok!r}", line=lineno) from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite value: {tok!r}", line=lineno)
+        values.append(v)
     if not values:
         raise ParseError(f"no data rows in {path}")
     return np.asarray(values, dtype=float)
@@ -305,10 +327,7 @@ def cmd_sample(args):
     draws = sample(p, args.n, args.seed)
     config = {"n": args.n, "seed": args.seed, **_params_dict(p)}
     manifest = build_manifest(args, config, seed=args.seed, timestamp=False)
-    lines = _manifest_comment_lines(manifest)
-    lines.append("# columns: value")
-    lines.extend(_g17(v) for v in draws)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _csv_text(manifest, "value", draws))
     return EXIT_OK
 
 
@@ -326,10 +345,7 @@ def cmd_eval(args):
         ys = quantile(p, xs)
     config = {"mode": args.mode, "grid": args.grid, **_params_dict(p)}
     manifest = build_manifest(args, config, timestamp=False)
-    lines = _manifest_comment_lines(manifest)
-    lines.append("# columns: x,value")
-    lines.extend(f"{_g17(x)},{_g17(y)}" for x, y in zip(xs, ys))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _csv_text(manifest, "x,value", xs, ys))
     return EXIT_OK
 
 
@@ -419,12 +435,7 @@ def cmd_gof(args):
         emp = ecdf(data, xs)
         mod = cdf(p, xs)
         manifest = build_manifest(args, config, timestamp=False)
-        lines = _manifest_comment_lines(manifest)
-        lines.append("# columns: x,ecdf,model_cdf")
-        lines.extend(
-            f"{_g17(x)},{_g17(e)},{_g17(m)}" for x, e, m in zip(xs, emp, mod)
-        )
-        _write_text(overlay, "\n".join(lines) + "\n")
+        _write_text(overlay, _csv_text(manifest, "x,ecdf,model_cdf", xs, emp, mod))
     return EXIT_OK
 
 

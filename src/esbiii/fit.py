@@ -33,7 +33,17 @@ step is retried from the initial radius), so once one leaves every
 parameter unchanged, bit for bit, every later one would too: the loop
 stops unconverged and logs the fixed point at DEBUG level.  It stops
 unconverged too when the tolerances are met with sigma (1 + |eps|) within
-the floor: the data then see only the tails, on the sigma -> 0, k -> inf ray.
+the floor: the data then see only the tails, on the sigma -> 0, k -> inf
+ray.  A run on that ray that does not meet the tolerances stops,
+unconverged, once sigma (1 + |eps|) n is within the floor.
+
+Several starts often climb to one optimum.  A start stops, unconverged,
+once it reaches an earlier start's converged end point (mu within the
+floor, sigma, c and k within 1e-3 relative, eps within 1e-3) without
+beating its objective, so each optimum is refined once (Rinnooy Kan &
+Timmer, Stochastic global optimization methods, Part I: clustering
+methods, Math. Prog. 39, 1987).  Such a start cannot win.  Each of these
+exits is logged at DEBUG level.
 """
 
 from __future__ import annotations
@@ -145,8 +155,12 @@ def _block_loglik(x, mu, sigma, c, k, eps, floor):
 def _fit_loglik(x, mu, sigma, c, k, eps, floor):
     """The log-likelihood with each |x_i - mu| floored; exact where min |x_i - mu| >= floor.
 
-    Up to one block it has the bits of a single pass.
+    Up to one block it calls that block's kernel directly, whose value is
+    the blocked sum's: fsum of one partial is that partial (bar the sign
+    of a zero).
     """
+    if x.size <= _BLOCK:
+        return float(_block_loglik(x, mu, sigma, c, k, eps, floor))
     return _fsum(_blockwise(lambda xb: _block_loglik(xb, mu, sigma, c, k, eps, floor), x))
 
 
@@ -249,11 +263,14 @@ def _work_score(x, mu, sigma, c, k, eps, floor):
 
     Points inside the floor add a constant to the objective, hence nothing
     to the mu component; the others use the floored z.  Up to one block
-    the result has the bits of a single pass.
+    the sums come from one direct kernel call, the bits of the blocked ones.
     """
     n = x.size
-    blocks = _blockwise(lambda xb: _score_sums(xb, mu, sigma, c, k, eps, floor), x)
-    sp, t, lz, lzt, g_eps, g_mu = (_fsum([b[i] for b in blocks]) for i in range(6))
+    if n <= _BLOCK:
+        sp, t, lz, lzt, g_eps, g_mu = map(float, _score_sums(x, mu, sigma, c, k, eps, floor))
+    else:
+        blocks = _blockwise(lambda xb: _score_sums(xb, mu, sigma, c, k, eps, floor), x)
+        sp, t, lz, lzt, g_eps, g_mu = (_fsum([b[i] for b in blocks]) for i in range(6))
     g_sigma = (n * c - c * (k + 1.0) * t) / sigma
     g_c = n / c - lz + (k + 1.0) * lzt
     return np.array([g_mu, g_sigma, g_c, n / k - sp, g_eps])
@@ -661,10 +678,35 @@ def _start_points(data, fixed_c):
     return [replace(r, c=c0, k=k0) for r in ridge for c0, k0 in shapes]
 
 
-def _ascend(data, p, cfg, score_tol):
+_JOIN_TOL = 1e-3  # relative in sigma, c and k, absolute in eps: the start joined an end
+
+
+def _joined(p, ll, ends, floor):
+    """The start whose converged end point p has reached without beating it, or None.
+
+    ends holds (start index, params, working objective) triples.  A match
+    has mu within the floor of the end's, sigma, c and k within _JOIN_TOL
+    relative, eps within _JOIN_TOL, and an objective no higher.
+    """
+    for j, q, q_ll in ends:
+        if (
+            ll <= q_ll
+            and abs(p.mu - q.mu) <= floor
+            and abs(p.sigma - q.sigma) <= _JOIN_TOL * q.sigma
+            and abs(p.c - q.c) <= _JOIN_TOL * q.c
+            and abs(p.k - q.k) <= _JOIN_TOL * q.k
+            and abs(p.eps - q.eps) <= _JOIN_TOL
+        ):
+            return j
+    return None
+
+
+def _ascend(data, p, cfg, score_tol, ends=()):
     """One run of the fitter's loop from p.
 
-    data is the fit's _FlooredSample.  Returns (p, ll, converged, cycles,
+    data is the fit's _FlooredSample.  ends lists the converged end points
+    of earlier starts; the run stops unconverged once it reaches one of
+    them (see _joined).  Returns (p, ll, converged, cycles,
     trace, norm), norm being the scaled working-score norm at the final p.
     """
     x, floor = data.values, data.floor
@@ -695,6 +737,14 @@ def _ascend(data, p, cfg, score_tol):
             # fixed point: every later iteration would repeat this one
             _log.debug("cycle %d: fixed point at loglik %.17g", cycle, ll)
             break
+        if p.sigma * (1.0 + abs(p.eps)) * x.size <= floor:
+            # both side scales far inside the floor: the run drifts along the ray
+            _log.debug("cycle %d: left on the boundary ray, sigma %.3g", cycle, p.sigma)
+            break
+        j = _joined(p, ll, ends, floor)
+        if j is not None:
+            _log.debug("cycle %d: joined start %d's end point at loglik %.17g", cycle, j, ll)
+            break
     return p, ll, converged, cycle, trace, norm
 
 
@@ -707,11 +757,14 @@ def fit_ml(data, cfg=None):
     given.  Unless cfg.init pins the start, the loop runs from up to nine
     starts (three points on the mu-eps ridge, three shapes each) and the
     best final objective wins; the reported trace is the winning run's.
+    A start that reaches an earlier start's converged end point without
+    beating it stops there, so each optimum is refined once.
     Convergence means both the relative parameter change over an
     iteration and the scaled score norm fell below their tolerances.
     Otherwise the best point found is returned with converged=False, also
-    at a fixed point, and on the boundary ray (sigma within the floor).
-    Data with over half the points tied fit only from a given cfg.init.
+    at a fixed point, and on the boundary ray (sigma within the floor, or
+    any time within floor / n).  Data with over half the points tied fit
+    only from a given cfg.init.
     """
     cfg = cfg or FitConfig()
     x = np.asarray(data.values, dtype=float)
@@ -737,9 +790,12 @@ def fit_ml(data, cfg=None):
     else:
         starts = _start_points(floored, cfg.fixed_c)
 
-    best = None
-    for s in starts:
-        run = _ascend(floored, s, cfg, score_tol)
+    best, ends = None, []
+    for i, s in enumerate(starts):
+        run = _ascend(floored, s, cfg, score_tol, ends)
+        if run[2]:
+            ends.append((i, *run[:2]))
+        # a run that joined an end scores no higher than it, so never wins
         if best is None or run[1] > best[1]:
             best = run
     p, ll, converged, cycle, trace, norm = best

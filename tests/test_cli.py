@@ -69,6 +69,54 @@ class TestReadValues:
         with pytest.raises(ParseError, match="cannot open"):
             read_values("/nonexistent/nope.txt")
 
+    # whole-file parsing falls back to the line loop, whose values, messages
+    # and line numbers these are
+    @pytest.mark.parametrize(
+        "raw, column, want",
+        [
+            (b"1.5\r\n-2.5\r\n", None, [1.5, -2.5]),
+            (b"1.5\r-2.5\r", None, [1.5, -2.5]),
+            (b"\n\n  3.25  \n\n\n", None, [3.25]),
+            (b"# a\n1\n  # b\n2\n#\n", None, [1.0, 2.0]),
+            (b"1_000\n2\n", None, [1000.0, 2.0]),
+            (b"1\n1,2\n", None, ("2 columns found", 2)),
+            (b"1\r\n2\r\n1 2\r\n", None, ("2 columns found", 3)),
+            (b"1,2\n3\n", 1, [1.0, 3.0]),
+            (b"1 2\n3 4\n", 1, [1.0, 3.0]),
+            (b"1\n2\n", 2, ("column 2 out of range", 1)),
+            (b"1\n2\n", 0, ("column 0 out of range", 1)),
+            (b"1\n\nnan\n", None, ("non-finite value: 'nan'", 3)),
+            (b"1\n-inf\n", 1, ("non-finite value: '-inf'", 2)),
+            (b"1\n2\nx1\n", None, ("not a number: 'x1'", 3)),
+            (b"# only\n\n", None, ("no data rows", None)),
+        ],
+    )
+    def test_whole_file_matches_the_line_loop(self, tmp_path, raw, column, want):
+        f = tmp_path / "d.txt"
+        f.write_bytes(raw)
+        if isinstance(want, list):
+            got = read_values(str(f), column)
+            assert got.dtype == np.float64
+            assert got.tolist() == want
+            return
+        message, line = want
+        with pytest.raises(ParseError, match=message) as err:
+            read_values(str(f), column)
+        assert err.value.line == line
+
+
+class TestCsvText:
+    def test_rows_match_per_value_formatting(self):
+        from esbiii.cli import _csv_text
+
+        col = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1, -1.0 / 3.0])
+        other = np.arange(col.size, dtype=float) * 1e-7
+        text = _csv_text({"tool": "esbiii"}, "x,y", col, other)
+        rows = [f"{format(float(a), '.17g')},{format(float(b), '.17g')}" for a, b in zip(col, other)]
+        assert text == "# tool: esbiii\n# columns: x,y\n" + "\n".join(rows) + "\n"
+        one = _csv_text({}, "value", col)
+        assert one.split("\n")[1:-1] == [format(float(v), ".17g") for v in col]
+
 
 class TestSampleCommand:
     def test_reruns_byte_identical(self, tmp_path):

@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -541,6 +543,75 @@ class TestBoundaryRay:
         assert r.cycles < FitConfig().max_cycles
         assert r.params.sigma * (1.0 + abs(r.params.eps)) < _data_resolution(x)
         assert "boundary ray" in caplog.text
+
+    def test_drift_along_the_ray_ends_early(self, caplog):
+        # sigma (1 + |eps|) falls below floor / n within a few iterations;
+        # without the stop the run drifted for 500 of them to sigma = 2e-9
+        data = Dataset(sample(Params(0.0, 1.0, 1.0, 1.0, 0.0), 50, seed=4))
+        t0 = time.perf_counter()
+        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
+            r = fit_ml(data)
+        assert time.perf_counter() - t0 < 0.5
+        assert not r.converged
+        assert r.cycles < 50
+        assert "boundary ray" in caplog.text
+
+
+class TestOneBlockDirectCall:
+    """Up to one block the fit kernels are called directly, with the blocked sum's bits."""
+
+    ARGS = (0.05, 1.2, 2.1, 0.9, -0.25)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-3])
+    def test_objective_and_score_match_the_blocked_sum(self, monkeypatch, floor):
+        import esbiii.fit
+        from esbiii.burr3 import _BLOCK
+
+        x = sample(Params(0.1, 1.3, 2.0, 1.0, -0.3), _BLOCK, seed=5)
+        direct_ll = esbiii.fit._fit_loglik(x, *self.ARGS, floor)
+        direct_g = esbiii.fit._work_score(x, *self.ARGS, floor)
+        # below the size the direct call is taken for, both go through _blockwise and _fsum
+        monkeypatch.setattr(esbiii.fit, "_BLOCK", _BLOCK - 1)
+        blocked_ll = esbiii.fit._fit_loglik(x, *self.ARGS, floor)
+        blocked_g = esbiii.fit._work_score(x, *self.ARGS, floor)
+        assert type(direct_ll) is float
+        assert np.float64(direct_ll).tobytes() == np.float64(blocked_ll).tobytes()
+        assert direct_g.tobytes() == blocked_g.tobytes()
+
+
+class TestDuplicateStarts:
+    def test_a_start_that_joins_an_end_would_have_reached_it(self, monkeypatch, caplog):
+        # bimodal: most starts find one optimum; those that reach an earlier
+        # start's converged end stop there, and run on alone they end on it
+        import esbiii.fit
+
+        runs = []
+        orig = esbiii.fit._ascend
+
+        def recorded(data, p, cfg, score_tol, ends=()):
+            before = len(caplog.records)
+            run = orig(data, p, cfg, score_tol, ends)
+            joined = [
+                int(m.group(1))
+                for rec in caplog.records[before:]
+                if (m := re.search(r"joined start (\d+)", rec.getMessage()))
+            ]
+            runs.append((data, p, cfg, score_tol, list(ends), run, joined))
+            return run
+
+        monkeypatch.setattr(esbiii.fit, "_ascend", recorded)
+        data = Dataset(sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 2000, seed=1))
+        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
+            r = fit_ml(data)
+        assert r.converged
+        duplicates = [run for run in runs if run[6]]
+        assert duplicates
+        for floored, p0, cfg, score_tol, ends, run, joined in duplicates:
+            (end_ll,) = [q_ll for j, _, q_ll in ends if j == joined[0]]
+            assert not run[2]
+            assert run[1] <= end_ll <= max(other[5][1] for other in runs)
+            alone = orig(floored, p0, cfg, score_tol)
+            assert alone[1] == pytest.approx(end_ll, rel=1e-9, abs=0.0)
 
 
 class TestTmix:
