@@ -3,7 +3,9 @@
 Five subcommands: fit, sample, eval, diagnose, gof.  Structured results go
 out as JSON documents (validated by schemas/output.schema.json); curves
 and samples go out as CSV with a commented manifest header.  All floats
-are emitted with 17 significant digits so round-tripping loses nothing.
+are emitted with 17 significant digits so round-tripping loses nothing:
+every CSV value is exactly Python's '%.17g' % v, and a JSON number
+format(v, '.17g') for a finite v.
 
 Exit codes: 0 success, 2 unusable input (parse or domain errors),
 3 fit did not converge (the result document is still written),
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -23,6 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._g17 import table_text
 from .burr3 import RNG_ALGORITHM
 from .distribution import Params, cdf, pdf, quantile, sample
 from .errors import DegenerateDataError, EsbError, NonConvergenceError, ParseError
@@ -96,14 +100,11 @@ def render_document(doc):
 def _csv_text(manifest, columns, *values):
     """A CSV file: the manifest comments, a column header, then a row per element.
 
-    Every row is formatted by one %-format of the whole table: "%.17g"
-    gives the bits of format(v, ".17g") for every float, nan and inf too.
+    Every value reads exactly as "%.17g" % v, nan and inf included.
     """
     lines = _manifest_comment_lines(manifest)
     lines.append(f"# columns: {columns}")
-    row = ",".join(["%.17g"] * len(values))
-    table = "\n".join([row] * len(values[0])) % tuple(np.column_stack(values).ravel().tolist())
-    return "\n".join(lines) + "\n" + table + "\n"
+    return "\n".join(lines) + "\n" + table_text(values)
 
 
 def _timestamp():
@@ -177,12 +178,12 @@ def read_values(path, column=None):
         # the lines file iteration gives, newlines translated, without their ends
         lines = fh.read().split("\n")
     if column in (None, 1):
-        # one float() per data line; float() refuses a delimited line, so a
-        # delimiter, a bad token or a non-finite value takes the loop below
+        # one cast of the data lines, which numpy parses by float(); float()
+        # refuses a delimited line, so a delimiter, a bad token or a
+        # non-finite value takes the loop below
+        tokens = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
         try:
-            values = np.array(
-                [float(s) for s in map(str.strip, lines) if s and not s.startswith("#")]
-            )
+            values = np.array(tokens, dtype=float)
         except ValueError:
             values = None
         if values is not None and values.size and np.isfinite(values).all():
@@ -508,10 +509,13 @@ def build_parser():
     return parser
 
 
+# parse_args leaves a parser as it found it, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(raw)
+    args = _parser().parse_args(raw)
     args._raw_argv = raw
     try:
         return args.func(args)

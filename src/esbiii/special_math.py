@@ -43,13 +43,17 @@ def beta_fn(a, b):
 
     Once the larger argument b reaches 8, lgamma(b) - lgamma(a + b) loses
     digits to cancellation (4.9e-12 relative at a = 5000.1, b = 3), so that
-    difference comes from _ln_gamma_ratio instead.
+    difference comes from _ln_gamma_ratio instead.  Once both reach 8,
+    lgamma(a) is large too (4.4e-14 relative at a = 29, b = 254.9), so
+    ln B comes from _ln_beta_large.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
     small, big = min(a, b), max(a, b)
     if big < 8.0:
         return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
+    if small >= 8.0:
+        return math.exp(_ln_beta_large(small, big))
     return math.exp(ln_gamma(small) + _ln_gamma_ratio(small, big))
 
 
@@ -65,19 +69,27 @@ _STIRLING = (
 )
 
 
-def _ln_gamma_ratio(a, b):
-    """ln(Gamma(b) / Gamma(a + b)) for 0 < a <= b, b >= 8 (TOMS 708 algdiv).
+_HALF_LN_2PI = 0.91893853320467274178
 
-    Stirling's series for both gamma functions, subtracted term by term:
-    -a (ln b - 1) - (a + b - 1/2) log1p(a/b) + del(b) - del(a + b), where
-    del is the series remainder.  Nothing large cancels.
+
+def _stirling_del(a):
+    """del(a) = ln Gamma(a) - (a - 1/2) ln a + a - ln(2 pi)/2, for a >= 8."""
+    t = (1.0 / a) ** 2
+    w = 0.0
+    for coef in reversed(_STIRLING):
+        w = w * t + coef
+    return w / a
+
+
+def _stirling_del_diff(a, b):
+    """del(b) - del(a + b) for 0 < a <= b, b >= 8, without cancellation.
+
+    (c/b) sum_j coef_j s_{2j+1} / b**(2j), with c = a / (a + b),
+    x = b / (a + b) and s_m = (1 - x**m) / (1 - x).
     """
     h = a / b
     c = h / (1.0 + h)
     x = 1.0 / (1.0 + h)
-    d = b + (a - 0.5)
-    # del(b) - del(a + b) = (c/b) sum_j coef_j s_{2j+1} / b**(2j), with
-    # s_m = (1 - x**m) / (1 - x)
     x2 = x * x
     s = [1.0]
     for _ in _STIRLING[1:]:
@@ -86,12 +98,39 @@ def _ln_gamma_ratio(a, b):
     w = 0.0
     for coef, s_m in zip(reversed(_STIRLING), reversed(s)):
         w = w * t + coef * s_m
-    w *= c / b
-    u = d * math.log1p(a / b)
+    return w * (c / b)
+
+
+def _ln_gamma_ratio(a, b):
+    """ln(Gamma(b) / Gamma(a + b)) for 0 < a <= b, b >= 8 (TOMS 708 algdiv).
+
+    Stirling's series for both gamma functions, subtracted term by term:
+    -a (ln b - 1) - (a + b - 1/2) log1p(a/b) + del(b) - del(a + b), where
+    del is the series remainder.  Nothing large cancels.
+    """
+    w = _stirling_del_diff(a, b)
+    u = (b + (a - 0.5)) * math.log1p(a / b)
     v = a * (math.log(b) - 1.0)
     if u > v:
         return (w - v) - u
     return (w - u) - v
+
+
+def _ln_beta_large(a, b):
+    """ln B(a, b) for 8 <= a <= b (TOMS 708 betaln with bcorr).
+
+    Stirling's series for all three gamma functions:
+    ln(2 pi)/2 - ln(b)/2 + (a - 1/2) ln(a / (a + b)) - b log1p(a/b)
+    + del(a) + del(b) - del(a + b).
+    """
+    w = _stirling_del(a) + _stirling_del_diff(a, b)
+    h = a / b
+    u = -(a - 0.5) * math.log(h / (1.0 + h))
+    v = b * math.log1p(h)
+    head = (-0.5 * math.log(b) + _HALF_LN_2PI) + w
+    if u > v:
+        return (head - v) - u
+    return (head - u) - v
 
 
 def log1p_exp(t):

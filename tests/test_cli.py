@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import esbiii
 from esbiii import Params, cdf, sample
 from esbiii.cli import main, read_values
 from esbiii.errors import ParseError
@@ -89,6 +95,12 @@ class TestReadValues:
             (b"1\n-inf\n", 1, ("non-finite value: '-inf'", 2)),
             (b"1\n2\nx1\n", None, ("not a number: 'x1'", 3)),
             (b"# only\n\n", None, ("no data rows", None)),
+            ("\u0661\u0662\n".encode(), None, [12.0]),
+            (b"1e-400\n+.5\n", None, [0.0, 0.5]),
+            (b"1\n-Infinity\n", None, ("non-finite value: '-Infinity'", 2)),
+            (b"1e400\n", None, ("non-finite value: '1e400'", 1)),
+            (b"1\n0x10\n", None, ("not a number: '0x10'", 2)),
+            (b"1\n2\x00\n", None, ("not a number: '2\\\\x00'", 2)),
         ],
     )
     def test_whole_file_matches_the_line_loop(self, tmp_path, raw, column, want):
@@ -103,6 +115,28 @@ class TestReadValues:
         with pytest.raises(ParseError, match=message) as err:
             read_values(str(f), column)
         assert err.value.line == line
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(["", "   ", "# comment", "  # 1.5"]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from(["%.17g", "%r"]),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_whole_file_cast_matches_float(self, tmp_path_factory, items, fmt, end):
+        f = tmp_path_factory.mktemp("cast") / "d.txt"
+        f.write_bytes(end.join(fmt % x if isinstance(x, float) else x for x in items).encode())
+        want = [x for x in items if isinstance(x, float)]
+        if not want:
+            with pytest.raises(ParseError, match="no data rows"):
+                read_values(str(f))
+            return
+        assert read_values(str(f)).tobytes() == np.array(want).tobytes()
 
 
 class TestCsvText:
@@ -455,6 +489,38 @@ class TestTopLevel:
         ])
         assert code == 2
         assert "sigma" in capsys.readouterr().err
+
+    def test_successive_calls_match_separate_runs(self, tmp_path, monkeypatch):
+        # main reuses one parser; a usage error must leave it as it was
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1500000000")
+        data = tmp_path / "d.txt"
+        _write_sample(data, n=100, seed=1)
+        doc = tmp_path / "fit.json"
+        doc.write_text(json.dumps({"params": {"mu": 0, "sigma": 1, "c": 5, "k": 0.2, "eps": 0.4}}))
+        runs = [
+            ["gof", "--input", str(data), "--params", "0,1,5,0.2,0.4", "--fit-result", str(doc)],
+            ["gof", "--input", str(data), "--params", "0,1,5,0.2,0.4", "--out", str(tmp_path / "a.json")],
+            ["gof", "--input", str(data), "--fit-result", str(doc), "--out", str(tmp_path / "b.json")],
+        ]
+        outputs = ["a.json", "a.json.overlay.csv", "b.json", "b.json.overlay.csv"]
+
+        def in_process(argv):
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return exc.code
+
+        codes = [in_process(argv) for argv in runs]
+        docs = [(tmp_path / name).read_bytes() for name in outputs]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(esbiii.__file__)))
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "esbiii.cli", *argv], env=env, capture_output=True
+            ).returncode
+            for argv in runs
+        ]
+        assert codes == alone == [2, 0, 0]
+        assert docs == [(tmp_path / name).read_bytes() for name in outputs]
 
     def test_all_floats_round_trip(self, tmp_path):
         out = tmp_path / "s.csv"
