@@ -154,7 +154,7 @@ def _fill(cells, v, seps, t):
 
 
 def table_text(columns):
-    """Rows of "%.17g" texts joined by commas, each row ending in a newline.
+    """Rows of "%.17g" texts joined by commas, each row ending in a newline, as ASCII bytes.
 
     columns are equal-length 1-d float64 arrays.  The table goes through
     in blocks of about _BLOCK values, whole rows each, so that every
@@ -176,4 +176,4 @@ def table_text(columns):
         np.copyto(rows[:n], cells[:, :n].T)
         text = rows[:n].view(np.uint8).ravel()
         out.append(text[text != 0].tobytes())
-    return b"".join(out).decode("ascii")
+    return b"".join(out)

@@ -97,14 +97,19 @@ def render_document(doc):
     return _render_json(doc) + "\n"
 
 
-def _csv_text(manifest, columns, *values):
-    """A CSV file: the manifest comments, a column header, then a row per element.
+def _csv_bytes(manifest, columns, *values):
+    """A CSV file's UTF-8 bytes: the manifest comments, a column header, then a row per element.
 
     Every value reads exactly as "%.17g" % v, nan and inf included.
     """
     lines = _manifest_comment_lines(manifest)
     lines.append(f"# columns: {columns}")
-    return "\n".join(lines) + "\n" + table_text(values)
+    return ("\n".join(lines) + "\n").encode("utf-8") + table_text(values)
+
+
+def _csv_text(manifest, columns, *values):
+    """The file of _csv_bytes as a str."""
+    return _csv_bytes(manifest, columns, *values).decode("utf-8")
 
 
 def _timestamp():
@@ -154,6 +159,16 @@ def _write_text(path, text):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_bytes(path, data):
+    """Write a CSV file's bytes to path, or to stdout's byte stream."""
+    if path is None:
+        sys.stdout.flush()  # text written to stdout before must come first
+        sys.stdout.buffer.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _emit_json(args, doc):
@@ -328,7 +343,7 @@ def cmd_sample(args):
     draws = sample(p, args.n, args.seed)
     config = {"n": args.n, "seed": args.seed, **_params_dict(p)}
     manifest = build_manifest(args, config, seed=args.seed, timestamp=False)
-    _write_text(args.out, _csv_text(manifest, "value", draws))
+    _write_bytes(args.out, _csv_bytes(manifest, "value", draws))
     return EXIT_OK
 
 
@@ -346,7 +361,7 @@ def cmd_eval(args):
         ys = quantile(p, xs)
     config = {"mode": args.mode, "grid": args.grid, **_params_dict(p)}
     manifest = build_manifest(args, config, timestamp=False)
-    _write_text(args.out, _csv_text(manifest, "x,value", xs, ys))
+    _write_bytes(args.out, _csv_bytes(manifest, "x,value", xs, ys))
     return EXIT_OK
 
 
@@ -436,7 +451,7 @@ def cmd_gof(args):
         emp = ecdf(data, xs)
         mod = cdf(p, xs)
         manifest = build_manifest(args, config, timestamp=False)
-        _write_text(overlay, _csv_text(manifest, "x,ecdf,model_cdf", xs, emp, mod))
+        _write_bytes(overlay, _csv_bytes(manifest, "x,ecdf,model_cdf", xs, emp, mod))
     return EXIT_OK
 
 

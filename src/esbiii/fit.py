@@ -10,7 +10,9 @@ the interquartile range and s = -1 when the upper quartile gap is the
 smaller one, and maps the estimate back, so shift, scale and reflection
 equivariance hold by construction.  Each start runs one loop.  An
 iteration makes three moves, each kept only if it raises the objective: a
-mu move (a 41-node scan, refined by golden section and Brent's method),
+mu move (a 41-node scan, refined by golden section and Brent's method;
+after a start's first iteration the scan evaluates the five nodes around
+mu, and the other 36 only when the best of the five is on their edge),
 one trust-region Newton step in theta = (mu, log sigma, log c, log k,
 atanh eps) with a forward-difference Hessian and the exact subproblem
 solution (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4), and
@@ -519,12 +521,20 @@ def _line_max(f, a, b, x, fx, tol):
     return x, -fx
 
 
-def _comb_mu_update(x, p, floor, spread):
+_NEAR = slice(18, 23)  # the centre node of the mu move's 41 and two on each side
+
+
+def _comb_mu_update(x, p, floor, spread, full=True):
     """The mu move: the best of 41 nodes over mu +- max(4 sigma (1 + |eps|), spread).
 
-    The two cells around the best node are searched by golden section down
-    to the floor's width, then by Brent's method to a millionth of it; the
-    best node stays when that ends lower.  Returns (mu, objective).  The
+    With full false only the centre node and two on each side are
+    evaluated, and the other 36 only when the best of those five is on
+    the window's edge.  A node's value does not depend on which nodes
+    share its block, so the move gives the full scan's result whenever
+    the full scan's best node is one of the inner three.  The two cells
+    around the best node are searched by golden section down to the
+    floor's width, then by Brent's method to a millionth of it; the best
+    node stays when that ends lower.  Returns (mu, objective).  The
     objective is maximized directly because the mu score has a pole at
     every observation when c*k < 1.
     """
@@ -532,18 +542,29 @@ def _comb_mu_update(x, p, floor, spread):
     def f(m):
         return _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor)
 
+    def scan(nodes):
+        if x.size > _BLOCK:
+            return np.array([f(m) for m in nodes])
+        col, rows = nodes.reshape(-1, 1), _BLOCK // x.size  # rows of nodes that fill a block
+        return np.concatenate([
+            _block_loglik(x, col[i : i + rows], p.sigma, p.c, p.k, p.eps, floor)
+            for i in range(0, nodes.size, rows)
+        ])
+
     width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), spread)
     grid = p.mu + np.linspace(-width, width, 41)
-    if x.size > _BLOCK:
-        vals = [f(m) for m in grid]
-    else:  # rows of nodes that fill a block at a time
-        col, rows = grid.reshape(-1, 1), _BLOCK // x.size
-        vals = np.concatenate([
-            _block_loglik(x, col[i : i + rows], p.sigma, p.c, p.k, p.eps, floor)
-            for i in range(0, grid.size, rows)
-        ])
+    if full:
+        vals = scan(grid)
+        i = int(np.argmax(vals))
+    else:
+        vals = np.empty(grid.size)
+        vals[_NEAR] = scan(grid[_NEAR])
+        i = _NEAR.start + int(np.argmax(vals[_NEAR]))
+        if i in (_NEAR.start, _NEAR.stop - 1):
+            for rest in (slice(_NEAR.start), slice(_NEAR.stop, None)):
+                vals[rest] = scan(grid[rest])
+            i = int(np.argmax(vals))
     grid = grid.tolist()
-    i = int(np.argmax(vals))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     lo, hi, m, val = _golden_max(f, lo, hi, floor)
     m, val = _line_max(f, lo, hi, m, val, 1e-6 * floor)
@@ -718,7 +739,8 @@ def _ascend(data, p, cfg, score_tol, ends=()):
     converged, radius, cycle = False, _RADIUS0, 0
     for cycle in range(1, cfg.max_cycles + 1):
         p_prev = p
-        mu, mu_ll = _comb_mu_update(x, p, floor, data.spread)
+        # a start's first mu move scans all 41 nodes; later ones seldom leave mu's window
+        mu, mu_ll = _comb_mu_update(x, p, floor, data.spread, full=cycle == 1)
         if mu_ll > ll:
             p, ll = replace(p, mu=mu), mu_ll
         hold_mu = p.c * p.k < 1.0 or _mu_pinned(x, p.mu, floor)

@@ -27,6 +27,7 @@ from esbiii.errors import (
     NonConvergenceError,
     SmallSampleError,
 )
+from esbiii.burr3 import _BLOCK
 from esbiii.fit import COORD_NAMES
 
 TRUTH = Params(0.0, 1.0, 5.0, 0.2, 0.4)
@@ -438,6 +439,77 @@ class TestMuMove:
                 data.values, p.mu + step, p.sigma, p.c, p.k, p.eps, floor
             )
             assert moved - ll <= 1e-9 * abs(ll)
+
+    @pytest.fixture
+    def objective_calls(self, monkeypatch):
+        """(x.size, shape of mu) of every _block_loglik call; a column of mu is a scan."""
+        import esbiii.fit
+
+        calls = []
+        orig = esbiii.fit._block_loglik
+
+        def counted(x, mu, *args):
+            calls.append((x.size, np.shape(mu)))
+            return orig(x, mu, *args)
+
+        monkeypatch.setattr(esbiii.fit, "_block_loglik", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def bimodal_mode(self):
+        from esbiii.fit import _floored
+
+        x = sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 2000, seed=1)
+        return x, _floored(x), fit_ml(Dataset(x)).params
+
+    @pytest.mark.parametrize("cells, nodes", [(0.0, 5), (1.0, 5), (2.5, 41), (-2.5, 41)])
+    def test_later_moves_scan_the_window_first(self, objective_calls, bimodal_mode, cells, nodes):
+        # mu `cells` scan cells from the fitted mode: up to one cell off the
+        # best of the five window nodes is an inner one, beyond it an edge one
+        from esbiii.fit import _comb_mu_update
+
+        x, data, p = bimodal_mode
+        cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
+        q = replace(p, mu=p.mu + cells * cell)
+        near = _comb_mu_update(x, q, data.floor, data.spread, full=False)
+        assert sum(shape[0] for _, shape in objective_calls if len(shape) == 2) == nodes
+        objective_calls.clear()
+        assert _comb_mu_update(x, q, data.floor, data.spread) == near
+        assert sum(shape[0] for _, shape in objective_calls if len(shape) == 2) == 41
+
+    @pytest.mark.parametrize(
+        "truth, n, seed",
+        [
+            ((2.0, 1.0, -0.3), 2000, 1),
+            ((5.0, 0.2, 0.4), 2000, 1),
+            ((5.0, 0.1, 0.2), 2000, 1),
+            ((3.0, 0.5, 0.3), 200, 3),
+            ((2.0, 1.0, -0.3), _BLOCK + 1, 1),
+        ],
+    )
+    def test_fit_equals_the_fit_with_every_scan_full(self, monkeypatch, truth, n, seed):
+        import esbiii.fit
+
+        data = Dataset(sample(Params(0.0, 1.0, *truth), n, seed=seed))
+        windowed = fit_ml(data)
+        orig, local = esbiii.fit._comb_mu_update, []
+
+        def full_scan(x, p, floor, spread, full=True):
+            local.append(not full)
+            return orig(x, p, floor, spread)
+
+        monkeypatch.setattr(esbiii.fit, "_comb_mu_update", full_scan)
+        forced = fit_ml(data)
+        assert any(local)
+        fields = ("params", "loglik", "converged", "cycles", "score_norm", "trace")
+        assert [getattr(windowed, f) for f in fields] == [getattr(forced, f) for f in fields]
+
+    def test_objective_elements_of_a_boundary_fit(self, objective_calls):
+        # a count, not a wall time: 9,592,000 elements with the window,
+        # 16,648,000 with every mu scan at 41 nodes
+        fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
+        elements = sum(size * math.prod(shape) for size, shape in objective_calls)
+        assert elements <= 1.1 * 9_592_000
 
 
 def _model_gain(g, hess, s):

@@ -14,7 +14,7 @@ from esbiii._g17 import table_text
 def _want(*columns):
     return "".join(
         ",".join("%.17g" % v for v in row) + "\n" for row in zip(*(c.tolist() for c in columns))
-    )
+    ).encode("ascii")
 
 
 def _neighbours(x):
@@ -54,7 +54,7 @@ NAMED = [
 
 @pytest.mark.parametrize("x", NAMED, ids=repr)
 def test_named_values(x):
-    assert table_text([np.array([x])]) == "%.17g" % x + "\n"
+    assert table_text([np.array([x])]) == b"%.17g\n" % x
 
 
 def test_named_values_in_one_table():
@@ -66,10 +66,10 @@ def test_random_bit_patterns():
     bits = np.random.default_rng(20240613).integers(0, 2**64, 1_000_002, dtype=np.uint64)
     values = bits.view(np.float64)
     text = ["%.17g" % v for v in values.tolist()]
-    assert table_text([values]) == "\n".join(text) + "\n"
+    assert table_text([values]) == ("\n".join(text) + "\n").encode("ascii")
     rows = np.array(text, dtype=object).reshape(-1, 3)
     want = "".join(",".join(r) + "\n" for r in rows.tolist())
-    assert table_text([values[0::3], values[1::3], values[2::3]]) == want
+    assert table_text([values[0::3], values[1::3], values[2::3]]) == want.encode("ascii")
 
 
 def test_every_power_of_two_and_decimal_grid():
