@@ -100,6 +100,37 @@ def _pick(mask, a, b):
     return np.array([b, a]).take(mask.view(np.int8))
 
 
+def _fold(y, mu, sigma, eps, floor=0.0):
+    """The epsilon-skew fold of y about mu: (d, pos, z).
+
+    d = y - mu, pos marks d >= 0 (sign(0) = +1) and
+    z = max(|d|, floor) / (sigma (1 + s eps)) with s = +-1 the sign, the
+    point at which the family evaluates its Burr III kernel.  One division
+    by each side's scale, whose bits are those of sigma * (1 + s eps): s *
+    eps is exactly +-eps.  z is a fresh array, also for a 0-d y, and
+    broadcasts like y - mu.  The package's only fold: the density, cdf,
+    likelihood, score and influence curves all take their z from here.
+    """
+    d = np.subtract(y, mu)
+    pos = d >= 0.0
+    z = np.abs(d)
+    if not z.ndim:  # a 0-d y - mu is a numpy scalar; callers write into z
+        z = np.array(z)
+    if floor:
+        np.maximum(z, floor, out=z)
+    z /= _pick(pos, sigma * (1.0 + eps), sigma * (1.0 - eps))
+    return d, pos, z
+
+
+def _tmix(lz, c):
+    """1 / (1 + z**c) from lz = log z, for a scalar or an array.
+
+    z**c = exp(c lz) overflowing to inf gives exactly 0, the limit.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(c * lz))
+
+
 def _log_density(log_const, c, k, log_z, out=None):
     """log_const - (c+1) log z - (k+1) log(1 + z**-c), from log z.
 

@@ -7,7 +7,8 @@ are emitted with 17 significant digits so round-tripping loses nothing:
 every CSV value is exactly Python's '%.17g' % v, and a JSON number
 format(v, '.17g') for a finite v.
 
-Exit codes: 0 success, 2 unusable input (parse or domain errors),
+Exit codes: 0 success, 2 unusable input (parse or domain errors, or a
+SOURCE_DATE_EPOCH that is not a Unix time),
 3 fit did not converge (the result document is still written),
 4 degenerate data (constant sample, too few observations).
 """
@@ -107,17 +108,21 @@ def _csv_bytes(manifest, columns, *values):
     return ("\n".join(lines) + "\n").encode("utf-8") + table_text(values)
 
 
-def _csv_text(manifest, columns, *values):
-    """The file of _csv_bytes as a str."""
-    return _csv_bytes(manifest, columns, *values).decode("utf-8")
-
-
 def _timestamp():
+    """The documents' UTC timestamp: SOURCE_DATE_EPOCH when it is set, else now.
+
+    Raises ParseError when SOURCE_DATE_EPOCH is not a whole number of
+    seconds that datetime can represent.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        t = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
-    else:
+    if epoch is None:
         t = datetime.datetime.now(tz=datetime.timezone.utc)
+    else:
+        try:
+            t = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            msg = f"SOURCE_DATE_EPOCH={epoch!r} is not a usable Unix time: {exc}"
+            raise ParseError(msg) from None
     return t.isoformat(timespec="seconds")
 
 
@@ -134,7 +139,7 @@ def build_manifest(args, config, seed=None, timestamp=True):
         "decisions": list(DECISIONS),
     }
     if timestamp:
-        m["timestamp_utc"] = _timestamp()
+        m["timestamp_utc"] = args._timestamp
     return m
 
 
@@ -153,16 +158,8 @@ def _manifest_comment_lines(manifest):
     return lines
 
 
-def _write_text(path, text):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _write_bytes(path, data):
-    """Write a CSV file's bytes to path, or to stdout's byte stream."""
+    """Write a document's or a CSV file's bytes to path, or to stdout's byte stream."""
     if path is None:
         sys.stdout.flush()  # text written to stdout before must come first
         sys.stdout.buffer.write(data)
@@ -172,7 +169,7 @@ def _write_bytes(path, data):
 
 
 def _emit_json(args, doc):
-    _write_text(getattr(args, "out", None), render_document(doc))
+    _write_bytes(getattr(args, "out", None), render_document(doc).encode("utf-8"))
 
 
 # -- input parsing ----------------------------------------------------------
@@ -533,6 +530,9 @@ def main(argv=None):
     args = _parser().parse_args(raw)
     args._raw_argv = raw
     try:
+        # the JSON documents' stamp, taken before the command runs so that
+        # a malformed SOURCE_DATE_EPOCH costs no work
+        args._timestamp = _timestamp() if args.cmd in ("fit", "gof", "diagnose") else None
         return args.func(args)
     except ParseError as exc:
         print(f"esbiii: error: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ with sign(0) taken as +1:
 
 log f is the Burr III log-density kernel of :mod:`esbiii.burr3` taken at
 w with the constant log(c*k / (2*sigma)); the influence diagnostics use
-the same kernel, and the fitter sums its terms over the sample.
+the same kernel, and the fitter sums its terms over the sample.  pdf,
+logpdf and cdf take w from burr3._fold, which divides |y - mu| once by
+sigma (1 + sign(x)*eps), so a point folds to the bits the likelihood uses.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .burr3 import (
     Burr3Params,
     _blockwise,
+    _fold,
     _log_density,
     _maybe_scalar,
     _pick,
@@ -138,21 +141,6 @@ def _require_standard_form(p, what):
         raise DomainError(f"{what} is defined on the standard form (mu=0, sigma=1)")
 
 
-def _split(y, p):
-    """Standardize and fold onto the positive axis.
-
-    Returns (pos, w) for a float array y: pos marks x = (y - mu)/sigma >= 0
-    and w = |x| / (1 + sign(x)*eps) >= 0, with sign(0) = +1.  w is an array
-    of y's shape, also for a 0-d y.
-    """
-    x = np.subtract(y, p.mu, out=np.empty_like(y))
-    x /= p.sigma
-    pos = x >= 0.0
-    w = np.abs(x, out=x)
-    w /= _pick(pos, 1.0 + p.eps, 1.0 - p.eps)
-    return pos, w
-
-
 def _origin_log_density(p):
     """Limit of log f as y -> mu, which depends on the sign of c*k - 1.
 
@@ -178,7 +166,7 @@ def _density_blocks(p, y, exp):
     origin = _origin_log_density(p)
 
     def kernel(yb, ob):
-        w = _split(yb, p)[1]
+        w = _fold(yb, p.mu, p.sigma, p.eps)[2]
         at0 = w == 0.0
         tie = at0.any()
         if tie:
@@ -229,7 +217,7 @@ def cdf(p, y):
     half_hi = 0.5 * (1.0 + p.eps)
 
     def kernel(yb, ob):
-        pos, w = _split(yb, p)
+        _, pos, w = _fold(yb, p.mu, p.sigma, p.eps)
         with np.errstate(divide="ignore"):
             t = np.log(w, out=w)
         # -k log(1 + w**-c); the at-origin entries become -inf, which feeds

@@ -5,6 +5,9 @@ The log-likelihood for a sample x_1..x_n, written with s_i = sign(x_i - mu)
 
     l = n log(ck / (2 sigma)) - (c+1) sum log z_i - (k+1) sum log(1 + z_i**-c)
 
+with z_i from burr3._fold, the fold logpdf uses too, so the likelihood and
+the density see the same z_i for a point.
+
 fit_ml fits y = s (x - median) / scale, scale the power of two just above
 the interquartile range and s = -1 when the upper quartile gap is the
 smaller one, and maps the estimate back, so shift, scale and reflection
@@ -57,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .burr3 import _BLOCK, _blockwise, _pick
+from .burr3 import _BLOCK, _blockwise, _fold, _pick, _tmix
 from .distribution import Params
 from .errors import DegenerateDataError, DensityLimitWarning, DomainError, NoBracketError
 from .errors import SmallSampleError, whole_number
@@ -92,19 +95,10 @@ class StandardizedSample:
     z: np.ndarray
 
 
-def _split_sample(x, mu, sigma, eps, floor=0.0):
-    """d = x - mu, its signs s (sign(0) = +1) and z = max(|d|, floor) / (sigma (1 + s eps))."""
-    d = x - mu
-    pos = d >= 0.0
-    # s * eps is exactly +-eps, so the two scales carry the bits of sigma * (1 + s eps)
-    scale = np.where(pos, sigma * (1.0 + eps), sigma * (1.0 - eps))
-    return d, np.where(pos, 1.0, -1.0), np.maximum(np.abs(d), floor) / scale
-
-
 def standardize(p, data):
     """StandardizedSample of the data under p; z_i = 0 marks a tie with mu."""
-    _, s, z = _split_sample(np.asarray(data.values, dtype=float), p.mu, p.sigma, p.eps)
-    return StandardizedSample(s=s, z=z)
+    _, pos, z = _fold(np.asarray(data.values, dtype=float), p.mu, p.sigma, p.eps)
+    return StandardizedSample(s=np.where(pos, 1.0, -1.0), z=z)
 
 
 def _data_resolution(x):
@@ -139,18 +133,13 @@ def _fsum(parts):
 
 
 def _block_loglik(x, mu, sigma, c, k, eps, floor):
-    """One block's working objective in the buffer of x - mu; one per node of a mu column."""
-    d = np.subtract(x, mu)
-    # z = max(|d|, floor) / (sigma (1 + s eps)) in d's buffer, as in _split_sample
-    scale = _pick(d >= 0.0, sigma * (1.0 + eps), sigma * (1.0 - eps))
-    lz = np.abs(d, out=d)
-    np.maximum(lz, floor, out=lz)
-    lz /= scale
+    """One block's working objective; one per node of a mu column."""
+    d, _, lz = _fold(x, mu, sigma, eps, floor)
     np.log(lz, out=lz)
     return (
         x.size * math.log(c * k / (2.0 * sigma))
         - (c + 1.0) * lz.sum(axis=-1)
-        - (k + 1.0) * log1p_exp(np.multiply(lz, -c, out=scale)).sum(axis=-1)
+        - (k + 1.0) * log1p_exp(np.multiply(lz, -c, out=d)).sum(axis=-1)
     )
 
 
@@ -166,25 +155,21 @@ def _fit_loglik(x, mu, sigma, c, k, eps, floor):
     return _fsum(_blockwise(lambda xb: _block_loglik(xb, mu, sigma, c, k, eps, floor), x))
 
 
-def _exact_loglik(x, mu, sigma, c, k, eps):
+def _loglik_arrays(x, mu, sigma, c, k, eps):
     # z = 0 (a point at mu, or so close that z underflows) makes the sum nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _fit_loglik(x, mu, sigma, c, k, eps, 0.0)
-
-
-def _loglik_arrays(x, mu, sigma, c, k, eps):
-    ll = _exact_loglik(x, mu, sigma, c, k, eps)
-    if not math.isnan(ll):
-        return ll
-    ck = c * k
-    if ck > 1.0:
-        return -math.inf
-    if ck < 1.0:
-        return math.inf
-    # c*k = 1: tied points contribute exactly the constant term
-    rest = x[_split_sample(x, mu, sigma, eps)[2] > 0.0]
-    const = math.log(ck / (2.0 * sigma))
-    return (x.size - rest.size) * const + _exact_loglik(rest, mu, sigma, c, k, eps)
+        ll = _fit_loglik(x, mu, sigma, c, k, eps, 0.0)
+        if not math.isnan(ll):
+            return ll
+        ck = c * k
+        if ck > 1.0:
+            return -math.inf
+        if ck < 1.0:
+            return math.inf
+        # c*k = 1: tied points contribute exactly the constant term
+        rest = x[_fold(x, mu, sigma, eps)[2] > 0.0]
+        const = math.log(ck / (2.0 * sigma))
+        return (x.size - rest.size) * const + _fit_loglik(rest, mu, sigma, c, k, eps, 0.0)
 
 
 def loglik(p, data):
@@ -205,15 +190,6 @@ def loglik(p, data):
             stacklevel=2,
         )
     return float(val)
-
-
-def _tmix(lz, c):
-    """1 / (1 + z**c) from lz = log z, for a scalar or an array.
-
-    z**c = exp(c lz) overflowing to inf gives exactly 0, the limit.
-    """
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(c * lz))
 
 
 def score(p, data):
@@ -238,12 +214,8 @@ def _score_sums(x, mu, sigma, c, k, eps, floor):
     t = 1/(1 + z**c), and the eps and mu terms are coef/(s + eps) and
     coef/d with coef = (c+1) - c(k+1) t, s = sign(d) and d = x - mu.
     """
-    d = x - mu
-    pos = d >= 0.0
-    lz = np.maximum(np.abs(d), floor)
-    dead = lz <= floor  # points on the floor add nothing to the mu component
-    # s * eps is exactly +-eps, so the two scales carry the bits of sigma * (1 + s eps)
-    lz /= _pick(pos, sigma * (1.0 + eps), sigma * (1.0 - eps))
+    d, pos, lz = _fold(x, mu, sigma, eps, floor)
+    dead = np.abs(d) <= floor  # points on the floor add nothing to the mu component
     np.log(lz, out=lz)
     sp = log1p_exp(-c * lz).sum()
     t = _tmix(lz, c)
@@ -581,14 +553,13 @@ def solve_coordinate(p, which, data, cfg=None):
     """
     if which not in COORD_NAMES:
         raise DomainError(f"unknown coordinate {which!r}")
-    if not isinstance(data, _FlooredSample):
-        data = _floored(np.asarray(data.values, dtype=float))
+    data = _floored(np.asarray(data.values, dtype=float))
     x, floor = data.values, data.floor
     if which == "mu":
         return _comb_mu_update(x, p, floor, data.spread)[0]
     if which == "k":
         # dl/dk = n/k - sum log(1 + z**-c) vanishes at exactly one k
-        z = _split_sample(x, p.mu, p.sigma, p.eps, floor)[2]
+        z = _fold(x, p.mu, p.sigma, p.eps, floor)[2]
         denom = log1p_exp(-p.c * np.log(z)).sum()
         if not (denom > 0.0 and math.isfinite(denom)):
             raise NoBracketError("k update undefined for this configuration")

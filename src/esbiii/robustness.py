@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burr3 import _log_density, _maybe_scalar
+from .burr3 import _fold, _log_density, _maybe_scalar, _tmix
 from .errors import DomainError
-from .fit import COORD_NAMES, _split_sample, _tmix
+from .fit import COORD_NAMES
 from .special_math import log1p_exp
 
 __all__ = [
@@ -60,7 +60,7 @@ def psi(p, which, x):
     if arr.size and (np.any(arr == 0.0) or not np.all(np.isfinite(arr))):
         raise DomainError("psi requires finite x != 0")
     c, k, eps = p.c, p.k, p.eps
-    _, s, w = _split_sample(arr, 0.0, 1.0, eps)
+    _, pos, w = _fold(arr, 0.0, 1.0, eps)
     lw = np.log(w)
     t = _tmix(lw, c)  # 1 / (1 + w**c)
     if which == "mu":
@@ -72,6 +72,7 @@ def psi(p, which, x):
     elif which == "k":
         out = 1.0 / k - log1p_exp(-c * lw)
     else:
+        s = np.where(pos, 1.0, -1.0)
         out = s * ((c + 1.0) - c * (k + 1.0) * t) / (1.0 + s * eps)
     return _maybe_scalar(out, x)
 
@@ -183,7 +184,7 @@ class RhoConditions:
 
 def _rho(p, x):
     # -log f for the standardized family, valid at x != 0
-    w = _split_sample(x, 0.0, 1.0, p.eps)[2]
+    w = _fold(x, 0.0, 1.0, p.eps)[2]
     return -_log_density(math.log(0.5 * p.c * p.k), p.c, p.k, math.log(w))
 
 

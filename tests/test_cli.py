@@ -141,14 +141,14 @@ class TestReadValues:
 
 class TestCsvText:
     def test_rows_match_per_value_formatting(self):
-        from esbiii.cli import _csv_text
+        from esbiii.cli import _csv_bytes
 
         col = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1, -1.0 / 3.0])
         other = np.arange(col.size, dtype=float) * 1e-7
-        text = _csv_text({"tool": "esbiii"}, "x,y", col, other)
+        text = _csv_bytes({"tool": "esbiii"}, "x,y", col, other).decode("utf-8")
         rows = [f"{format(float(a), '.17g')},{format(float(b), '.17g')}" for a, b in zip(col, other)]
         assert text == "# tool: esbiii\n# columns: x,y\n" + "\n".join(rows) + "\n"
-        one = _csv_text({}, "value", col)
+        one = _csv_bytes({}, "value", col).decode("utf-8")
         assert one.split("\n")[1:-1] == [format(float(v), ".17g") for v in col]
 
 
@@ -344,8 +344,32 @@ class TestFitCommand:
         assert out.read_bytes() == first
         assert b'"timestamp_utc": "2023-11-14T22:13:20+00:00"' in first
 
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999"])
+    def test_malformed_epoch_exits_2_before_fitting(self, tmp_path, monkeypatch, capsys, epoch):
+        import esbiii.cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_ml ran")
+
+        monkeypatch.setattr(esbiii.cli, "fit_ml", no_fit)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        data = tmp_path / "d.txt"
+        _write_sample(data, n=50, seed=6)
+        out = tmp_path / "f.json"
+        assert main(["fit", "--input", str(data), "--out", str(out)]) == 2
+        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagnoseCommand:
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999"])
+    def test_malformed_epoch_exits_2(self, monkeypatch, capsys, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(["diagnose", "--c", "2", "--k", "1", "--eps", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SOURCE_DATE_EPOCH" in captured.err
+
     def test_schema_and_content(self, tmp_path):
         out = tmp_path / "d.json"
         assert main([

@@ -74,6 +74,17 @@ class TestLoglik:
                 float(np.sum(logpdf(p, x))), abs=1e-10 * 40
             )
 
+    @pytest.mark.parametrize("shape", [(2.0, 1.0, -0.3), (5.0, 0.2, 0.4), (5.0, 0.1, 0.2)])
+    def test_density_folds_a_point_as_the_likelihood_does(self, shape):
+        from esbiii import logpdf
+        from esbiii.burr3 import _log_density
+
+        p = Params(0.3, 1.7, *shape)
+        x = sample(p, 2000, seed=3)  # no draw lands on mu
+        z = standardize(p, Dataset(x)).z
+        want = _log_density(math.log(p.c * p.k / (2.0 * p.sigma)), p.c, p.k, np.log(z))
+        assert logpdf(p, x).tobytes() == want.tobytes()
+
     def test_tie_with_location_spiked_regime(self):
         p = Params(1.0, 1.0, 2.0, 0.25, 0.0)
         with pytest.warns(DensityLimitWarning):
