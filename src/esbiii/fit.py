@@ -13,12 +13,15 @@ the interquartile range and s = -1 when the upper quartile gap is the
 smaller one, and maps the estimate back, so shift, scale and reflection
 equivariance hold by construction.  Each start runs one loop.  An
 iteration makes three moves, each kept only if it raises the objective: a
-mu move (a 41-node scan, refined by golden section and Brent's method;
-after a start's first iteration the scan evaluates the five nodes around
-mu, and the other 36 only when the best of the five is on their edge),
-one trust-region Newton step in theta = (mu, log sigma, log c, log k,
-atanh eps) with a forward-difference Hessian and the exact subproblem
-solution (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4), and
+mu move (a 41-node scan, refined by golden section down to the floor's
+width, then by safeguarded Newton on the exact mu slope and curvature
+where c*k > 1 and no observation is within the floor of the bracket, by
+Brent's method elsewhere; after a start's first iteration the scan
+evaluates the five nodes around mu, and the other 36 only when the best
+of the five is on their edge), one trust-region Newton step in theta =
+(mu, log sigma, log c, log k, atanh eps) with the exact gradient and
+Hessian from one pass over the data and the exact subproblem solution
+(Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4), and
 a pattern step along the iteration's displacement, which cuts along the
 curved ridge coupling mu and eps.  The Newton step holds mu while c*k < 1
 or mu is pinned (below), and c while fixed_c is set.
@@ -130,6 +133,20 @@ def _fsum(parts):
         return math.fsum(parts)
     except (ValueError, OverflowError):
         return sum(parts)
+
+
+def _summed(kernel, x):
+    """The sums kernel returns for a block, over all of x: block partials added by _fsum.
+
+    Partials are added entry by entry.  Up to one block the kernel runs
+    once on x, which gives the blocked sums bit for bit: fsum of one
+    partial is that partial (bar the sign of a zero).
+    """
+    if x.size <= _BLOCK:
+        return kernel(x)
+    blocks = _blockwise(kernel, x)
+    cols = np.array(blocks).reshape(len(blocks), -1).T.tolist()
+    return np.array([_fsum(c) for c in cols]).reshape(np.shape(blocks[0]))
 
 
 def _block_loglik(x, mu, sigma, c, k, eps, floor):
@@ -250,6 +267,84 @@ def _work_score(x, mu, sigma, c, k, eps, floor):
     return np.array([g_mu, g_sigma, g_c, n / k - sp, g_eps])
 
 
+def _u_terms(x, mu, sigma, c, k, eps, floor):
+    """Per-point terms of the working log density's derivatives: (pos, u, t, f_u, f_uu, r).
+
+    u = log z with z from _fold, and t = 1/(1 + z**c).  f_u = c(k+1) t -
+    (c+1) and f_uu = -(k+1) c**2 t (1 - t) are the first two derivatives of
+    -(c+1) u - (k+1) log(1 + z**-c) in u.  r = 1/d is -du/dmu, and 0 for
+    points on the floor, whose z does not move with mu.
+    """
+    d, pos, u = _fold(x, mu, sigma, eps, floor)
+    np.log(u, out=u)
+    t = _tmix(u, c)
+    f_u = np.multiply(t, c * (k + 1.0))
+    f_u -= c + 1.0
+    f_uu = np.subtract(1.0, t)
+    f_uu *= t
+    f_uu *= -(k + 1.0) * c * c
+    if floor:
+        dead = np.abs(d) <= floor
+        if dead.any():
+            d[dead] = math.inf  # 1/inf = 0
+    return pos, u, t, f_u, f_uu, np.divide(1.0, d, out=d)
+
+
+def _mu_sums(x, mu, sigma, c, k, eps, floor):
+    """One block's mu slope and mu curvature of the working objective.
+
+    The slope is -sum f_u r and the curvature sum (f_uu - f_u) r**2, with
+    the terms of _u_terms.
+    """
+    _, _, _, f_u, f_uu, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    f_uu -= f_u
+    f_uu *= r
+    return np.array([-(f_u @ r), f_uu @ r])
+
+
+def _deriv_sums(x, mu, sigma, c, k, eps, floor):
+    """One block's 5 x 10 array of sums over points of products of two terms.
+
+    Row terms (1, f_u, f_uu, t, log(1 + z**-c)), column terms (1, r, v,
+    r**2, r v, v**2, u, u r, u v, u**2): those of _u_terms, and v = eps - s,
+    s the sign of d, which is du/d atanh(eps).
+    """
+    pos, u, t, f_u, f_uu, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    v = _pick(pos, eps - 1.0, eps + 1.0)
+    one = np.ones_like(u)
+    left = np.stack([one, f_u, f_uu, t, log1p_exp(-c * u)])
+    right = np.stack([one, r, v, r * r, r * v, v * v, u, u * r, u * v, u * u])
+    return left @ right.T
+
+
+def _theta_derivs(x, p, floor):
+    """Gradient and Hessian of the working objective in theta, from one pass (_deriv_sums).
+
+    theta = (mu, log sigma, log c, log k, atanh eps).  A point's log
+    density is log(ck / (2 sigma)) + f(u), f the function of _u_terms, and
+    u moves with mu (by -r, second derivative -r**2), log sigma (by -1) and
+    atanh eps (by v, second derivative 1 - eps**2).  f(u) + u depends on c
+    only through c u, so on it d/dlog c acts as u d/du: dl/dlog c = 1 +
+    u (f_u + 1), d2l/du dlog c = f_u + 1 + u f_uu and d2l/dlog c2 is u
+    times that.  log k enters as log k - (k+1) log(1 + z**-c).
+    """
+    sums = _summed(lambda xb: _deriv_sums(xb, p.mu, p.sigma, p.c, p.k, p.eps, floor), x)
+    one, fu, fuu, t, (phi, *_) = sums.tolist()
+    n, k, kc = one[0], p.k, p.k * p.c
+    # sums of d2l/du dlog c = f_u + 1 + f_uu u, times 1, r and v
+    ub0, ub_r, ub_v = (fu[j] + one[j] + fuu[6 + j] for j in range(3))
+    lb = fu[6] + one[6]  # sum of u (f_u + 1); d l / d log c = 1 + u (f_u + 1)
+    g = np.array([-fu[1], -n - fu[0], n + lb, n - k * phi, fu[2]])
+    h = np.array([
+        [fuu[3] - fu[3], fuu[1], -ub_r, -kc * t[1], -fuu[4]],
+        [fuu[1], fuu[0], -ub0, -kc * t[0], -fuu[2]],
+        [-ub_r, -ub0, lb + fuu[9], kc * t[6], ub_v],
+        [-kc * t[1], -kc * t[0], kc * t[6], -k * phi, kc * t[2]],
+        [-fuu[4], -fuu[2], ub_v, kc * t[2], fuu[5] + (1.0 - p.eps * p.eps) * fu[0]],
+    ])
+    return g, h
+
+
 def _mu_pinned(x, mu, floor):
     """True when mu sits at or inside the resolution floor of a data point."""
     return bool(np.min(np.abs(x - mu)) <= floor * (1.0 + 1e-9))
@@ -323,14 +418,7 @@ class FitResult:
 _RADIUS0 = 1.0  # initial trust radius in theta, and the radius a failed step retries
 _MAX_RADIUS = 8.0
 _MIN_RADIUS = 1e-12  # shorter steps are below the fit's resolution
-_FD_STEP = 1e-6  # forward-difference step in theta (times sigma for mu)
 _LOG_EDGE = 700.0  # |log sigma|, |log c|, |log k| stay where exp is finite and nonzero
-
-
-def _theta_score(x, p, free, floor):
-    """The working score in theta, at the free coordinates."""
-    g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
-    return (g * [1.0, p.sigma, p.c, p.k, 1.0 - p.eps * p.eps])[free]
 
 
 def _moved(p, free, step):
@@ -349,16 +437,6 @@ def _moved(p, free, step):
         else:
             new[name] = math.exp(min(max(math.log(v) + h, -_LOG_EDGE), _LOG_EDGE))
     return replace(p, **new)
-
-
-def _theta_hessian(x, p, g, free, floor):
-    """Forward differences of the theta score, symmetrized."""
-    cols = []
-    for i in free:
-        h = _FD_STEP * (p.sigma if i == 0 else 1.0)
-        cols.append((_theta_score(x, _moved(p, [i], [h]), free, floor) - g) / h)
-    hess = np.array(cols)
-    return 0.5 * (hess + hess.T)
 
 
 def _tr_subproblem(g, hess, radius):
@@ -398,14 +476,17 @@ def _tr_subproblem(g, hess, radius):
 def _tr_move(x, p, ll, free, radius, floor):
     """One trust-region Newton step over the free coordinates; returns (p, ll, radius).
 
-    A step is kept only if it raises the objective, else the radius shrinks
+    The model takes the exact gradient and Hessian of _theta_derivs.  A
+    step is kept only if it raises the objective, else the radius shrinks
     to a quarter of the step.  Below _MIN_RADIUS the search starts over
     once from _RADIUS0, so a failed move depends on p alone, and the
-    radius is reset to _RADIUS0.
+    radius is reset to _RADIUS0.  A gradient or Hessian that is not finite
+    leaves p, with a DEBUG record.
     """
-    g = _theta_score(x, p, free, floor)
-    hess = _theta_hessian(x, p, g, free, floor)
+    g, hess = _theta_derivs(x, p, floor)
+    g, hess = g[free], hess[np.ix_(free, free)]
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
+        _log.debug("trust-region step skipped: score or Hessian not finite at %s", p)
         return p, ll, _RADIUS0
     tries = (radius, _RADIUS0) if radius != _RADIUS0 else (_RADIUS0,)
     for radius in tries:
@@ -505,10 +586,12 @@ def _comb_mu_update(x, p, floor, spread, full=True):
     share its block, so the move gives the full scan's result whenever
     the full scan's best node is one of the inner three.  The two cells
     around the best node are searched by golden section down to the
-    floor's width, then by Brent's method to a millionth of it; the best
-    node stays when that ends lower.  Returns (mu, objective).  The
-    objective is maximized directly because the mu score has a pole at
-    every observation when c*k < 1.
+    floor's width, then to a millionth of it by _finish_mu: Newton on the
+    exact mu slope where the bracket is smooth (c*k > 1, no observation
+    within its floor), Brent's method elsewhere.  The best node stays when
+    that ends lower.  Returns (mu, objective).  The scan and golden
+    section maximize the objective directly because the mu score has a
+    pole at every observation when c*k < 1.
     """
 
     def f(m):
@@ -539,8 +622,62 @@ def _comb_mu_update(x, p, floor, spread, full=True):
     grid = grid.tolist()
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     lo, hi, m, val = _golden_max(f, lo, hi, floor)
-    m, val = _line_max(f, lo, hi, m, val, 1e-6 * floor)
+    m, val = _finish_mu(x, p, floor, lo, hi, m, val)
     return (float(m), val) if val >= vals[i] else (grid[i], float(vals[i]))
+
+
+def _finish_mu(x, p, floor, a, b, m, fm):
+    """The mu move's last stage: refine the bracket [a, b] around m, fm = f(m), to 1e-6 floor.
+
+    When c*k > 1 and no observation lies within the floor of the bracket,
+    the objective is the exact log-likelihood there and smooth in mu, and
+    safeguarded Newton on its exact slope and curvature (_mu_sums) finishes
+    the search (Brent 1973, ch. 4): a step that leaves the bracket, or
+    curvature >= 0, bisects on the slope's sign.  Its end is kept when its
+    objective is at least fm.  Otherwise, and on any other bracket,
+    Brent's method (_line_max) runs.  Returns the best probe (mu, f(mu)).
+    """
+
+    def f(mu):
+        return _fit_loglik(x, mu, p.sigma, p.c, p.k, p.eps, floor)
+
+    tol = 1e-6 * floor
+    if p.c * p.k > 1.0 and np.min(np.abs(x - 0.5 * (a + b))) > 0.5 * (b - a) + floor:
+
+        def slope_curv(mu):
+            # no point comes within the floor, so floor 0 gives the working terms
+            return _summed(lambda xb: _mu_sums(xb, mu, p.sigma, p.c, p.k, p.eps, 0.0), x)
+
+        mu = _newton_max(slope_curv, a, b, m, tol)
+        fmu = f(mu)
+        if fmu >= fm:
+            return mu, fmu
+    return _line_max(f, a, b, m, fm, tol)
+
+
+def _newton_max(slope_curv, a, b, m, tol):
+    """Safeguarded Newton for a maximum in [a, b] from m; slope_curv(m) = (f'(m), f''(m)).
+
+    Each slope's sign moves one end of the bracket to m.  The Newton step
+    is taken when the curvature is negative and it lands inside the
+    bracket, else the bracket is bisected.  Stops once a step is within
+    tol, or at a zero slope, and returns the last iterate.
+    """
+    for _ in range(64):
+        g, h = slope_curv(m)
+        if g > 0.0:
+            a = m
+        elif g < 0.0:
+            b = m
+        else:
+            break
+        nxt = m - g / h if h < 0.0 else math.nan  # nan fails the bracket test
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - m) <= tol:
+            return nxt
+        m = nxt
+    return m
 
 
 def solve_coordinate(p, which, data, cfg=None):

@@ -453,17 +453,21 @@ class TestMuMove:
 
     @pytest.fixture
     def objective_calls(self, monkeypatch):
-        """(x.size, shape of mu) of every _block_loglik call; a column of mu is a scan."""
+        """(x.size, shape of mu) of every _block_loglik call; a column of mu is a scan.
+
+        The mu slope kernel's calls are listed too, with shape (), so that
+        the mu move's work cannot hide in it.
+        """
         import esbiii.fit
 
         calls = []
-        orig = esbiii.fit._block_loglik
+        for name in ("_block_loglik", "_mu_sums"):
 
-        def counted(x, mu, *args):
-            calls.append((x.size, np.shape(mu)))
-            return orig(x, mu, *args)
+            def counted(x, mu, *args, orig=getattr(esbiii.fit, name)):
+                calls.append((x.size, np.shape(mu)))
+                return orig(x, mu, *args)
 
-        monkeypatch.setattr(esbiii.fit, "_block_loglik", counted)
+            monkeypatch.setattr(esbiii.fit, name, counted)
         return calls
 
     @pytest.fixture(scope="class")
@@ -516,19 +520,176 @@ class TestMuMove:
         assert [getattr(windowed, f) for f in fields] == [getattr(forced, f) for f in fields]
 
     def test_objective_elements_of_a_boundary_fit(self, objective_calls):
-        # a count, not a wall time: 9,592,000 elements with the window,
-        # 16,648,000 with every mu scan at 41 nodes
+        # a count, not a wall time: 8,192,000 objective and 398,000 mu slope
+        # elements with the Newton finish; 9,592,000 objective elements with
+        # Brent's method on every bracket, 16,648,000 with every mu scan at 41 nodes
         fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
         elements = sum(size * math.prod(shape) for size, shape in objective_calls)
-        assert elements <= 1.1 * 9_592_000
+        assert elements <= 1.1 * 8_590_000
+
+    def test_one_derivative_and_one_score_pass_per_iteration(self, monkeypatch):
+        # the trust-region step's gradient and Hessian come from one pass, and
+        # the convergence test's score from one more
+        import esbiii.fit
+
+        counts = {"_deriv_sums": 0, "_score_sums": 0, "iterations": 0}
+        for name in ("_deriv_sums", "_score_sums"):
+
+            def counted(*args, name=name, orig=getattr(esbiii.fit, name)):
+                counts[name] += 1
+                return orig(*args)
+
+            monkeypatch.setattr(esbiii.fit, name, counted)
+
+        def ascend(*args, orig=esbiii.fit._ascend):
+            run = orig(*args)
+            counts["iterations"] += run[3]
+            return run
+
+        monkeypatch.setattr(esbiii.fit, "_ascend", ascend)
+        fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
+        assert counts["iterations"] > 0
+        assert counts["_deriv_sums"] <= counts["iterations"]
+        assert counts["_score_sums"] <= counts["iterations"]
+
+    @pytest.fixture(scope="class")
+    def smooth_case(self):
+        """Bimodal data (fitted c*k near 2), the fitted point, and its floor and scan cell."""
+        from esbiii.fit import _floored
+
+        x = sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 2000, seed=1)
+        data = _floored(x)
+        p = fit_ml(Dataset(x)).params
+        cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
+        return x, data.floor, p, cell
+
+    @staticmethod
+    def _objective(x, p, floor):
+        from esbiii.fit import _fit_loglik
+
+        return lambda m: _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor)
+
+    @pytest.mark.parametrize("shift, d_eps", [(0.0, 0.0), (0.3, 0.02), (-0.6, -0.05)])
+    def test_newton_finish_ends_at_a_local_maximum(self, monkeypatch, smooth_case, shift, d_eps):
+        import esbiii.fit
+        from esbiii.fit import _finish_mu, _golden_max, _mu_sums
+
+        def refuse(*args):
+            raise AssertionError("Brent's stage ran on a smooth bracket")
+
+        monkeypatch.setattr(esbiii.fit, "_line_max", refuse)
+        x, floor, p, cell = smooth_case
+        p = replace(p, eps=p.eps + d_eps)
+        f = self._objective(x, p, floor)
+        centre = p.mu + shift * cell
+        a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
+        assert np.min(np.abs(x - 0.5 * (a + b))) > 0.5 * (b - a) + floor  # a smooth bracket
+        mu, val = _finish_mu(x, p, floor, a, b, m, fm)
+        assert a <= mu <= b
+        assert val == f(mu) >= fm
+        step = 1e-6 * floor
+        # no gain beyond the objective's rounding, and the exact slope
+        # changes sign across the probes
+        assert max(f(mu - step), f(mu + step)) <= val + 1e-13 * abs(val)
+        slope = [_mu_sums(x, v, p.sigma, p.c, p.k, p.eps, 0.0)[0] for v in (mu - step, mu + step)]
+        assert slope[0] >= 0.0 >= slope[1]
+
+    @pytest.mark.parametrize("case", ["floor edge", "c*k < 1"])
+    def test_other_brackets_take_brents_method(self, monkeypatch, smooth_case, case):
+        import esbiii.fit
+        from esbiii.fit import _finish_mu, _line_max
+
+        x, floor, p, cell = smooth_case
+        if case == "floor edge":
+            # the bracket holds the edge of the floor around the observation nearest mu
+            obs = float(x[np.argmin(np.abs(x - p.mu))])
+            a, b = obs + 0.4 * floor, obs + 1.3 * floor
+        else:
+            p = replace(p, c=0.9 / p.k)
+            a, b = p.mu - 0.45 * floor, p.mu + 0.45 * floor
+            assert np.min(np.abs(x - p.mu)) > 1.45 * floor  # smooth, but c*k < 1
+        f = self._objective(x, p, floor)
+        m = a + 0.618 * (b - a)
+        calls = []
+
+        def slope(*args, orig=esbiii.fit._mu_sums):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(esbiii.fit, "_mu_sums", slope)
+        got = _finish_mu(x, p, floor, a, b, m, f(m))
+        assert got == _line_max(f, a, b, m, f(m), 1e-6 * floor)
+        assert not calls
 
 
 def _model_gain(g, hess, s):
     return float(g @ s + 0.5 * s @ hess @ s)
 
 
+class TestAnalyticDerivatives:
+    """_theta_derivs against the score it differentiates."""
+
+    STEP = 1e-5  # central-difference step in theta, times sigma for mu
+
+    @staticmethod
+    def _theta_score(x, p, floor):
+        from esbiii.fit import _work_score
+
+        g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
+        return g * [1.0, p.sigma, p.c, p.k, 1.0 - p.eps * p.eps]
+
+    @pytest.fixture(params=[(2.0, 1.0, -0.3), (5.0, 0.2, 0.4), (5.0, 0.1, 0.2), (0.8, 0.5, 0.2)])
+    def point(self, request):
+        """Data from the shape, and a point off the truth with mu mid-way across a wide gap."""
+        c, k, eps = request.param
+        x = np.sort(sample(Params(0.0, 1.0, c, k, eps), 500, seed=3))
+        gaps = np.where(np.abs(x[:-1]) < 0.5, np.diff(x), 0.0)
+        i = int(np.argmax(gaps))
+        p = Params(0.5 * (x[i] + x[i + 1]), 1.1, 1.1 * c, 0.9 * k, eps + 0.05)
+        assert np.min(np.abs(x - p.mu)) >= 1e3 * self.STEP * p.sigma
+        return x, p
+
+    def test_hessian_matches_central_differences_of_the_score(self, point):
+        from esbiii.fit import _moved, _theta_derivs
+
+        x, p = point
+        _, hess = _theta_derivs(x, p, 0.0)
+        cols = []
+        for i in range(5):
+            h = self.STEP * (p.sigma if i == 0 else 1.0)
+            cols.append(_richardson(lambda t: self._theta_score(x, _moved(p, [i], [t]), 0.0), 0.0, h))
+        numeric = np.array(cols)
+        scale = np.sqrt(np.outer(np.abs(np.diag(hess)), np.abs(np.diag(hess))))
+        assert np.all(np.abs(hess - numeric) <= 1e-6 * scale)
+        assert np.array_equal(hess, hess.T)
+
+    def test_gradient_is_the_working_score(self, point):
+        from esbiii.fit import _data_resolution, _theta_derivs
+
+        x, p = point
+        floor = _data_resolution(x)
+        # floor 0, and a floor with mu inside an observation's
+        for q, fl in ((p, 0.0), (replace(p, mu=float(x[250]) + 0.5 * floor), floor)):
+            g, _ = _theta_derivs(x, q, fl)
+            np.testing.assert_allclose(g, self._theta_score(x, q, fl), rtol=1e-12, atol=0.0)
+
+
 class TestTrustRegionStep:
     """The exact trust-region subproblem, on random 5 x 5 models."""
+
+    def test_non_finite_derivatives_leave_the_point_with_a_record(self, caplog):
+        from esbiii.fit import _RADIUS0, _tr_move
+
+        # mu on an observation with no floor: the mu slope is infinite
+        x = sample(TRUTH, 200, seed=3)
+        p = replace(TRUTH, mu=float(x[5]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
+                got = _tr_move(x, p, -1e3, [0, 1, 2, 3, 4], 0.5, 0.0)
+        assert got == (p, -1e3, _RADIUS0)
+        (rec,) = [r for r in caplog.records if "not finite" in r.getMessage()]
+        assert rec.levelno == logging.DEBUG
+        assert repr(p.mu) in rec.getMessage()
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1,0 +1,14 @@
+"""Every module and test parses as Python 3.10, the oldest version pyproject.toml allows."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted([*ROOT.glob("src/esbiii/*.py"), *ROOT.glob("tests/*.py")])
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
