@@ -11,20 +11,23 @@ the density see the same z_i for a point.
 fit_ml fits y = s (x - median) / scale, scale the power of two just above
 the interquartile range and s = -1 when the upper quartile gap is the
 smaller one, and maps the estimate back, so shift, scale and reflection
-equivariance hold by construction.  Each start runs one loop.  An
+equivariance hold by construction (_map_mu keeps mu on the same side of
+each observation).  Each start runs one loop.  An
 iteration makes three moves, each kept only if it raises the objective: a
 mu move (a 41-node scan, refined by golden section down to the floor's
 width, then by safeguarded Newton on the exact mu slope and curvature
-where c*k > 1 and no observation is within the floor of the bracket, by
-Brent's method elsewhere; after a start's first iteration the scan
-evaluates the five nodes around mu, and the other 36 only when the best
-of the five is on their edge), one trust-region Newton step in theta =
-(mu, log sigma, log c, log k, atanh eps) with the exact gradient and
-Hessian from one pass over the data and the exact subproblem solution
-(Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4), and
-a pattern step along the iteration's displacement, which cuts along the
-curved ridge coupling mu and eps.  The Newton step holds mu while c*k < 1
-or mu is pinned (below), and c while fixed_c is set.
+where no observation is within the floor of the bracket, elsewhere by
+Brent's method, which ends on a corner or jump of the floored objective
+once its bracket holds only that one and it is a maximum; after a
+start's first iteration the scan evaluates the five nodes around mu, and
+the other 36 only when the best of the five is on their edge), one
+trust-region Newton step in theta = (mu, log sigma, log c, log k, atanh
+eps) with the exact gradient and Hessian from one pass over the data and
+the exact subproblem solution (Nocedal & Wright, Numerical Optimization,
+2nd ed., ch. 4), and a pattern step along the iteration's displacement,
+which cuts along the curved ridge coupling mu and eps.  The Newton step
+holds mu while c*k < 1 or mu is pinned (below), and c while fixed_c is
+set.
 
 When c*k < 1 the density diverges at every observation and the likelihood
 is unbounded in mu, so the fitter maximizes a working objective in which
@@ -42,8 +45,12 @@ parameter unchanged, bit for bit, every later one would too: the loop
 stops unconverged and logs the fixed point at DEBUG level.  It stops
 unconverged too when the tolerances are met with sigma (1 + |eps|) within
 the floor: the data then see only the tails, on the sigma -> 0, k -> inf
-ray.  A run on that ray that does not meet the tolerances stops,
-unconverged, once sigma (1 + |eps|) n is within the floor.
+ray.  Likewise with sigma (1 + |eps|) / c within the floor for c > 1: the
+kernel's shoulder at z = 1 is then narrower than the data resolve, on
+the c -> inf, k -> 0 ray to the bounded power-function limit, along
+which the objective still creeps up.  A run on the sigma -> 0 ray that
+does not meet the tolerances stops, unconverged, once sigma (1 + |eps|) n
+is within the floor.
 
 Several starts often climb to one optimum.  A start stops, unconverged,
 once it reaches an earlier start's converged end point (mu within the
@@ -56,6 +63,7 @@ exits is logged at DEBUG level.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import warnings
@@ -63,7 +71,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .burr3 import _BLOCK, _blockwise, _fold, _pick, _tmix
+from .burr3 import _BLOCK, _blockwise, _fold, _log_density, _pick, _tmix
 from .distribution import Params
 from .errors import DegenerateDataError, DensityLimitWarning, DomainError, NoBracketError
 from .errors import SmallSampleError, whole_number
@@ -400,7 +408,7 @@ class FitResult:
     trace holds (iteration, loglik) pairs, never decreasing; cycles is
     its last iteration, and every iteration but the last moved the
     parameters.  An unconverged result with cycles below max_cycles
-    stopped at a fixed point or on the boundary ray.
+    stopped at a fixed point or on a boundary ray.
     """
 
     params: Params
@@ -531,13 +539,15 @@ def _golden_max(f, a, b, width):
     return (a, b, x1, f1) if f1 >= f2 else (a, b, x2, f2)
 
 
-def _line_max(f, a, b, x, fx, tol):
+def _line_max(f, a, b, x, fx, tol, land=None):
     """Brent's maximization of f on [a, b] from x inside it, fx = f(x).
 
     Golden-section steps, or parabolic ones where they fall inside the
     bracket and shrink (Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 5), until the bracket is within 4 tol.
-    Returns the best probe (x, f(x)).
+    Before each step land(a, b, best), when given, sees the bracket and
+    the best value so far; a probe it returns ends the search.  Returns
+    the best probe (x, f(x)).
     """
     fx = -fx  # minimize -f
     v = w = x
@@ -546,6 +556,9 @@ def _line_max(f, a, b, x, fx, tol):
     for _ in range(200):
         if abs(x - 0.5 * (a + b)) <= 2.0 * tol - 0.5 * (b - a):
             break
+        end = land and land(a, b, -fx)
+        if end:
+            return end
         golden = True
         if abs(e) > tol:
             r = (x - w) * (fx - fv)
@@ -587,11 +600,12 @@ def _comb_mu_update(x, p, floor, spread, full=True):
     the full scan's best node is one of the inner three.  The two cells
     around the best node are searched by golden section down to the
     floor's width, then to a millionth of it by _finish_mu: Newton on the
-    exact mu slope where the bracket is smooth (c*k > 1, no observation
-    within its floor), Brent's method elsewhere.  The best node stays when
-    that ends lower.  Returns (mu, objective).  The scan and golden
-    section maximize the objective directly because the mu score has a
-    pole at every observation when c*k < 1.
+    exact mu slope where the bracket is smooth (no observation within its
+    floor), elsewhere Brent's method, which stops on a break of the
+    objective that is a maximum.  The best node stays when that ends
+    lower.  Returns (mu, objective).  The scan and golden section
+    maximize the objective directly because the mu score has a pole at
+    every observation when c*k < 1.
     """
 
     def f(m):
@@ -629,30 +643,79 @@ def _comb_mu_update(x, p, floor, spread, full=True):
 def _finish_mu(x, p, floor, a, b, m, fm):
     """The mu move's last stage: refine the bracket [a, b] around m, fm = f(m), to 1e-6 floor.
 
-    When c*k > 1 and no observation lies within the floor of the bracket,
-    the objective is the exact log-likelihood there and smooth in mu, and
+    When no observation lies within the floor of the bracket, the
+    objective is the exact log-likelihood there and smooth in mu, and
     safeguarded Newton on its exact slope and curvature (_mu_sums) finishes
     the search (Brent 1973, ch. 4): a step that leaves the bracket, or
     curvature >= 0, bisects on the slope's sign.  Its end is kept when its
-    objective is at least fm.  Otherwise, and on any other bracket,
-    Brent's method (_line_max) runs.  Returns the best probe (mu, f(mu)).
+    objective is at least fm; otherwise Brent's method (_line_max) runs.
+
+    Near observations the objective is smooth only between its breaks
+    (_breakpoints), and Brent's method runs until its bracket holds one.
+    The search ends on that break when its value is at least that of
+    every probe so far and the working slopes beside it (_mu_sums with the
+    floor) point at it; Brent's method would only close in on it at a
+    linear rate (Brent 1973, ch. 5).  Otherwise Brent's method goes on.
+    Returns the best probe (mu, f(mu)).
     """
 
     def f(mu):
         return _fit_loglik(x, mu, p.sigma, p.c, p.k, p.eps, floor)
 
+    def slope(mu, floor=floor):
+        return _summed(lambda xb: _mu_sums(xb, mu, p.sigma, p.c, p.k, p.eps, floor), x)
+
     tol = 1e-6 * floor
-    if p.c * p.k > 1.0 and np.min(np.abs(x - 0.5 * (a + b))) > 0.5 * (b - a) + floor:
-
-        def slope_curv(mu):
-            # no point comes within the floor, so floor 0 gives the working terms
-            return _summed(lambda xb: _mu_sums(xb, mu, p.sigma, p.c, p.k, p.eps, 0.0), x)
-
-        mu = _newton_max(slope_curv, a, b, m, tol)
+    near = x[np.abs(x - 0.5 * (a + b)) <= 0.5 * (b - a) + floor]
+    if not near.size:
+        # no point comes within the floor, so floor 0 gives the working terms
+        mu = _newton_max(lambda mu: slope(mu, 0.0), a, b, m, tol)
         fmu = f(mu)
         if fmu >= fm:
             return mu, fmu
-    return _line_max(f, a, b, m, fm, tol)
+    breaks = _breakpoints(near, p, floor, tol / 1024.0)  # none without near points
+    at, tried = [brk[0] for brk in breaks], set()
+
+    def land(lo, hi, best):
+        i = bisect.bisect_left(at, lo)
+        if bisect.bisect_right(at, hi) - i != 1 or i in tried:
+            return None
+        tried.add(i)  # its value and slopes are fixed and best only rises, so it fails again
+        _, mu, tests = breaks[i]
+        fmu = f(mu)
+        if fmu >= best and all(sign * slope(v)[0] >= 0.0 for v, sign in tests):
+            return mu, fmu
+        return None
+
+    return _line_max(f, a, b, m, fm, tol, land)
+
+
+def _breakpoints(near, p, floor, step):
+    """The breaks in mu of the working objective from the observations near, sorted.
+
+    Each is (at, landing, tests): an observation's term is constant on
+    either side of it while mu is within its floor, so it has a corner at
+    each end of the floor and, unless both sides give the same z, a jump
+    at the observation.  A corner's landing is the corner; a jump's lies
+    step from the observation on its higher side, never on it: a point at
+    mu counts on the positive side, which a reflection of the data swaps.
+    Each test (mu, sign) asks sign * slope(mu) >= 0, so that the slopes
+    beside the landing point at it.
+    """
+    # the term's value on the plateau, on the positive side (mu < x_i) and the negative one
+    up, down = (
+        float(_log_density(0.0, p.c, p.k, math.log(floor / (p.sigma * (1.0 + s * p.eps)))))
+        for s in (1.0, -1.0)
+    )
+    breaks = []
+    for xi in np.unique(near).tolist():
+        h = max(step, 16.0 * math.ulp(xi))  # some ulps of xi even on the finest floor
+        for corner in (xi - floor, xi + floor):
+            breaks.append((corner, corner, ((corner - h, 1.0), (corner + h, -1.0))))
+        if up != down:
+            s = 1.0 if up > down else -1.0
+            breaks.append((xi, xi - s * h, ((xi - s * h, s),)))
+    return sorted(breaks, key=lambda brk: brk[0])
 
 
 def _newton_max(slope_curv, a, b, m, tol):
@@ -858,10 +921,13 @@ def _ascend(data, p, cfg, score_tol, ends=()):
         g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
         norm = _scaled_score_norm(g, p, not _mu_pinned(x, p.mu, floor), cfg.fixed_c is None)
         if _rel_change(p, p_prev) <= cfg.param_tol and norm <= score_tol:
-            # a stop inside the resolution floor is on the sigma -> 0, k -> inf ray
-            converged = p.sigma * (1.0 + abs(p.eps)) > floor
+            # a stop inside the resolution floor is on the sigma -> 0, k -> inf ray; a
+            # shoulder, sigma (1 + |eps|) / c wide for c > 1, inside it on the c -> inf, k -> 0 one
+            converged = p.sigma * (1.0 + abs(p.eps)) > floor * max(1.0, p.c)
             if not converged:
-                _log.debug("cycle %d: stopped on the boundary ray, sigma %.3g", cycle, p.sigma)
+                _log.debug(
+                    "cycle %d: stopped on a boundary ray, sigma %.3g, c %.3g", cycle, p.sigma, p.c
+                )
             break
         if p == p_prev:
             # fixed point: every later iteration would repeat this one
@@ -878,6 +944,28 @@ def _ascend(data, p, cfg, score_tol, ends=()):
     return p, ll, converged, cycle, trace, norm
 
 
+def _map_mu(x, data, mu, med, sign, scale):
+    """mu on the standardized data mapped back to x, on the same side of every observation.
+
+    A point at mu counts on the positive side, so with eps != 0 the
+    working objective jumps there.  Mapping back rounds to the spacing of
+    x, which can put mu on an observation it lay beside in data, or past
+    it, and the reflection (sign -1) swaps the sides.  So the mapped mu
+    is clamped between the observations within the floor that must stay
+    at or above it and those that must stay below it.
+    """
+    out = med + sign * scale * mu
+    d = data.values - mu
+    near = np.abs(d) <= data.floor
+    if not near.any():
+        return out
+    # d >= 0 counts positive; the same side in x is x - out >= 0 for sign +1, < 0 for -1
+    above = (d[near] >= 0.0) == (sign > 0.0)
+    out = min(out, float(x[near][above].min(initial=math.inf)))
+    below = float(x[near][~above].max(initial=-math.inf))
+    return math.nextafter(below, math.inf) if out <= below else out
+
+
 def fit_ml(data, cfg=None):
     """Maximum-likelihood fit by a trust-region Newton loop on standardized data.
 
@@ -892,8 +980,9 @@ def fit_ml(data, cfg=None):
     Convergence means both the relative parameter change over an
     iteration and the scaled score norm fell below their tolerances.
     Otherwise the best point found is returned with converged=False, also
-    at a fixed point, and on the boundary ray (sigma within the floor, or
-    any time within floor / n).  Data with over half the points tied fit
+    at a fixed point, and on a boundary ray (at the tolerances sigma, or
+    sigma / c when c > 1, within the floor; any time sigma within floor /
+    n).  Data with over half the points tied fit
     only from a given cfg.init.
     """
     cfg = cfg or FitConfig()
@@ -929,7 +1018,8 @@ def fit_ml(data, cfg=None):
         if best is None or run[1] > best[1]:
             best = run
     p, ll, converged, cycle, trace, norm = best
-    p = replace(p, mu=med + sign * scale * p.mu, sigma=scale * p.sigma, eps=sign * p.eps)
+    mu = _map_mu(x, floored, p.mu, med, sign, scale)
+    p = replace(p, mu=mu, sigma=scale * p.sigma, eps=sign * p.eps)
     shift = n * math.log(scale)
     ll = float(ll) - shift
     free = 4 if cfg.fixed_c is not None else 5

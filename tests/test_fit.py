@@ -519,13 +519,27 @@ class TestMuMove:
         fields = ("params", "loglik", "converged", "cycles", "score_norm", "trace")
         assert [getattr(windowed, f) for f in fields] == [getattr(forced, f) for f in fields]
 
+    @staticmethod
+    def _elements_of_a_fit(calls, truth):
+        fit_ml(Dataset(sample(Params(0.0, 1.0, *truth), 2000, seed=1)))
+        return sum(size * math.prod(shape) for size, shape in calls)
+
     def test_objective_elements_of_a_boundary_fit(self, objective_calls):
-        # a count, not a wall time: 8,192,000 objective and 398,000 mu slope
-        # elements with the Newton finish; 9,592,000 objective elements with
-        # Brent's method on every bracket, 16,648,000 with every mu scan at 41 nodes
-        fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
-        elements = sum(size * math.prod(shape) for size, shape in objective_calls)
-        assert elements <= 1.1 * 8_590_000
+        # a count, not a wall time: 6,696,000 objective and 580,000 mu slope
+        # elements with the landing on breaks; 8,192,000 and 398,000 with
+        # Brent's method closing in on them, 16,648,000 objective elements
+        # with every mu scan at 41 nodes
+        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_276_000
+
+    @pytest.mark.parametrize(
+        "truth, count",
+        [
+            ((2.0, 1.0, -0.3), 3_180_000),  # 2,834,000 objective + 346,000 mu slope
+            ((5.0, 0.1, 0.2), 3_002_000),  # 2,804,000 + 198,000
+        ],
+    )
+    def test_objective_elements_of_a_bimodal_and_a_spiked_fit(self, objective_calls, truth, count):
+        assert self._elements_of_a_fit(objective_calls, truth) <= 1.1 * count
 
     def test_one_derivative_and_one_score_pass_per_iteration(self, monkeypatch):
         # the trust-region step's gradient and Hessian come from one pass, and
@@ -594,32 +608,157 @@ class TestMuMove:
         slope = [_mu_sums(x, v, p.sigma, p.c, p.k, p.eps, 0.0)[0] for v in (mu - step, mu + step)]
         assert slope[0] >= 0.0 >= slope[1]
 
-    @pytest.mark.parametrize("case", ["floor edge", "c*k < 1"])
-    def test_other_brackets_take_brents_method(self, monkeypatch, smooth_case, case):
+    def test_floor_edge_bracket_keeps_brents_end(self, smooth_case):
+        # at c*k near 2.14 the corner at the edge of an observation's floor
+        # is convex, so never a maximum, though its value beats every probe
+        # made before Brent's bracket holds it alone
+        from esbiii.fit import _finish_mu, _line_max
+
+        x, floor, p, cell = smooth_case
+        obs = float(x[np.argmin(np.abs(x - p.mu))])
+        a, b = obs + 0.4 * floor, obs + 1.3 * floor
+        f = self._objective(x, p, floor)
+        m = a + 0.618 * (b - a)
+        assert _finish_mu(x, p, floor, a, b, m, f(m)) == _line_max(f, a, b, m, f(m), 1e-6 * floor)
+
+    def test_break_that_a_probe_beats_keeps_brents_end(self, smooth_case):
+        # at c*k = 1 the bracket around the eighth observation nearest mu
+        # holds a jump whose slopes point at it, but a probe already beats
+        # its value: landing there would end 0.14 below Brent's end
+        from esbiii.fit import _finish_mu, _golden_max, _line_max
+
+        x, floor, p, cell = smooth_case
+        p = replace(p, c=1.0 / p.k, eps=p.eps + 0.1)
+        centre = float(x[np.argsort(np.abs(x - p.mu))[7]])
+        f = self._objective(x, p, floor)
+        a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
+        assert _finish_mu(x, p, floor, a, b, m, fm) == _line_max(f, a, b, m, fm, 1e-6 * floor)
+
+    def test_smooth_bracket_takes_newton_below_c_k_1(self, monkeypatch, smooth_case):
         import esbiii.fit
         from esbiii.fit import _finish_mu, _line_max
 
         x, floor, p, cell = smooth_case
-        if case == "floor edge":
-            # the bracket holds the edge of the floor around the observation nearest mu
-            obs = float(x[np.argmin(np.abs(x - p.mu))])
-            a, b = obs + 0.4 * floor, obs + 1.3 * floor
-        else:
-            p = replace(p, c=0.9 / p.k)
-            a, b = p.mu - 0.45 * floor, p.mu + 0.45 * floor
-            assert np.min(np.abs(x - p.mu)) > 1.45 * floor  # smooth, but c*k < 1
+        p = replace(p, c=0.9 / p.k)
+        a, b = p.mu - 0.45 * floor, p.mu + 0.45 * floor
+        assert np.min(np.abs(x - p.mu)) > 1.45 * floor  # no observation within the floor
         f = self._objective(x, p, floor)
         m = a + 0.618 * (b - a)
-        calls = []
+        brent = _line_max(f, a, b, m, f(m), 1e-6 * floor)
 
-        def slope(*args, orig=esbiii.fit._mu_sums):
-            calls.append(args)
-            return orig(*args)
+        def refuse(*args):
+            raise AssertionError("Brent's stage ran on a smooth bracket")
 
-        monkeypatch.setattr(esbiii.fit, "_mu_sums", slope)
-        got = _finish_mu(x, p, floor, a, b, m, f(m))
-        assert got == _line_max(f, a, b, m, f(m), 1e-6 * floor)
-        assert not calls
+        monkeypatch.setattr(esbiii.fit, "_line_max", refuse)
+        mu, val = _finish_mu(x, p, floor, a, b, m, f(m))
+        assert a <= mu <= b
+        assert val == f(mu) >= brent[1]
+
+    @pytest.fixture(scope="class")
+    def spiked_case(self):
+        """Spiked data (fitted c*k near 0.52), the fitted point, and its floor and scan cell."""
+        from esbiii.fit import _floored
+
+        x = sample(Params(0.0, 1.0, 5.0, 0.1, 0.2), 2000, seed=1)
+        data = _floored(x)
+        p = fit_ml(Dataset(x)).params
+        cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
+        return x, data.floor, p, cell
+
+    @pytest.mark.parametrize("case", ["jump, c*k = 0.9", "corner, c*k = 0.9", "spiked"])
+    def test_break_landing_beats_brent_at_half_the_calls(
+        self, objective_calls, smooth_case, spiked_case, case
+    ):
+        from esbiii.fit import _finish_mu, _golden_max, _line_max
+
+        x, floor, p, cell = spiked_case if case == "spiked" else smooth_case
+        centre = p.mu
+        if case != "spiked":
+            p = replace(p, c=0.9 / p.k)
+            if case.startswith("jump"):
+                centre = float(x[np.argmin(np.abs(x - p.mu))])
+        f = self._objective(x, p, floor)
+        a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
+        assert np.min(np.abs(x - 0.5 * (a + b))) <= 0.5 * (b - a) + floor  # observations near
+        objective_calls.clear()
+        mu, val = _finish_mu(x, p, floor, a, b, m, fm)
+        finish = len(objective_calls)
+        objective_calls.clear()
+        brent = _line_max(f, a, b, m, fm, 1e-6 * floor)
+        assert 2 * finish <= len(objective_calls)
+        assert val == f(mu) >= brent[1]
+        gap = np.abs(x - mu)
+        # on a break: beside an observation's jump, or on a corner of its floor
+        assert min(gap.min(), np.abs(gap - floor).min()) <= 1e-9 * floor
+        assert (gap.min() <= 1e-9 * floor) == case.startswith(("jump", "spiked"))
+        assert gap.min() > math.ulp(mu)  # never on an observation or 1 ulp beside it
+
+
+class TestBenchmarkFitCheck:
+    """The benchmark's check of a boundary fit, with the fitter's objective as the oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_converged_consistent_and_no_mu_step_gains(self, seed):
+        # loglik must be the working objective of the data as given: a mu
+        # landed beside an observation's jump and mapped back to the data's
+        # scale must stay on the jump's side.  A relative step of 1e-4 may
+        # gain what the convergence test allows, 1e-5 n 1e-4, plus rounding.
+        self._check(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=seed))
+
+    @pytest.mark.parametrize(
+        "shape, n, seed, offset",
+        [
+            # mu ended beside an observation's jump, and mapping it back put
+            # it on the observation: loglik 5e-3 relative above the data's
+            ((5.0, 0.2, 0.4), 200, 2, 1e6),
+            ((5.0, 0.2, 0.4), 200, 2, -1e6),
+            ((5.0, 0.2, 0.4), 2000, 3, 1e4),
+            ((5.0, 0.2, 0.4), 2000, 3, 1e6),
+            ((5.0, 0.1, 0.2), 2000, 1, 1e4),
+            ((5.0, 0.1, 0.2), 2000, 2, -1e6),
+        ],
+    )
+    def test_offset_data(self, shape, n, seed, offset):
+        self._check(sample(Params(0.0, 1.0, *shape), n, seed=seed) + offset)
+
+    @staticmethod
+    def _check(x):
+        from esbiii.fit import _data_resolution, _fit_loglik
+
+        r = fit_ml(Dataset(x))
+        assert r.converged
+        p, floor = r.params, _data_resolution(x)
+
+        def objective(mu):
+            return _fit_loglik(x, mu, p.sigma, p.c, p.k, p.eps, floor)
+
+        ref = objective(p.mu)
+        assert abs(r.loglik - ref) <= 1e-9 * abs(ref)
+        tol = 1e-5 * x.size * 1e-4 + 1e-10 * abs(ref)
+        for step in (-1e-4, 1e-4):
+            assert objective(p.mu + step * p.sigma) - ref <= tol
+
+
+class TestMapMu:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("delta", [-1e-13, 0.0, 1e-13])
+    def test_mapped_mu_keeps_each_observation_on_its_side(self, sign, delta):
+        # 1e-13 is far below the spacing of x near 1e6 (1.2e-10), so the
+        # plain map rounds onto the observation; and a point at mu counts on
+        # the positive side, which the reflection swaps
+        from esbiii.fit import _floored, _map_mu
+
+        x = 1e6 + 0.25 * np.arange(41.0)
+        med, scale = 1e6 + 5.0, 16.0
+        data = _floored(sign * (x - med) / scale)
+        j = 17
+        mu = data.values[j] + delta
+        out = _map_mu(x, data, mu, med, sign, scale)
+        assert (x[j] - out >= 0.0) == ((data.values[j] - mu >= 0.0) == (sign > 0.0))
+        assert abs(out - x[j]) <= math.ulp(x[j])
+        # away from the observations it is the plain map
+        far = data.values[j] + 0.5 * abs(data.values[1] - data.values[0])
+        assert _map_mu(x, data, far, med, sign, scale) == med + sign * scale * far
 
 
 def _model_gain(g, hess, s):
@@ -798,6 +937,22 @@ class TestBoundaryRay:
         assert time.perf_counter() - t0 < 0.5
         assert not r.converged
         assert r.cycles < 50
+        assert "boundary ray" in caplog.text
+
+
+class TestPowerLimitRay:
+    def test_shoulder_inside_the_floor_is_not_convergence(self, caplog):
+        # the tolerances are met at c = 1.4e7, k = 3.7e-7 while the objective
+        # still rises along c -> inf with c k fixed; the kernel's shoulder,
+        # sigma (1 + |eps|) / c wide, is far inside the data's resolution
+        from esbiii.fit import _data_resolution
+
+        x = sample(Params(0.0, 1.0, 20.0, 0.2, 0.5), 20, seed=4)
+        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
+            r = fit_ml(Dataset(x))
+        p = r.params
+        assert not r.converged
+        assert p.sigma * (1.0 + abs(p.eps)) / p.c < _data_resolution(x)
         assert "boundary ray" in caplog.text
 
 
