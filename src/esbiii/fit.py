@@ -39,6 +39,14 @@ its score component leaves the convergence norm, and the two objectives
 differ by a bounded amount.  Objectives and scores run in blocks of
 burr3._BLOCK points whose partial sums are added by math.fsum.
 
+fit_ml sorts its standardized sample once (_floored), so a fit depends on
+the data's values alone, not their order, bit for bit.  On sorted data the
+points below mu, those within the floor of it and those with z < 1 are
+runs of indices that bisect finds, so each scalar objective pass of the
+fitter (_sorted_loglik) is arithmetic on slices, with the z of _fold but
+none of its per-point selects; only the mu scan's columns of nodes use the
+masked kernel.
+
 An iteration depends on its starting point alone (a failed trust-region
 step is retried from the initial radius), so once one leaves every
 parameter unchanged, bit for bit, every later one would too: the loop
@@ -67,7 +75,7 @@ import bisect
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,16 +131,82 @@ def _data_resolution(x):
 
 @dataclass(frozen=True)
 class _FlooredSample:
-    """A sample with its resolution floor and its 5-95% quantile spread (the mu scan's size)."""
+    """A fit's sample, sorted, with its resolution floor and its 5-95% quantile spread.
+
+    The spread sets the mu scan's size.  ys holds the values as a list for
+    bisect, and work is one scratch array of their size for _sorted_loglik.
+    """
 
     values: np.ndarray
     floor: float
     spread: float
+    ys: list = field(repr=False, compare=False)
+    work: np.ndarray = field(repr=False, compare=False)
 
 
 def _floored(x):
+    x = np.sort(x)
     lo, hi = np.quantile(x, [0.05, 0.95])
-    return _FlooredSample(x, _data_resolution(x), float(hi - lo))
+    return _FlooredSample(x, _data_resolution(x), float(hi - lo), x.tolist(), np.empty_like(x))
+
+
+def _within(ys, centre, radius):
+    """(i, j) such that ys[i:j] are the sorted values with |v - centre| <= radius.
+
+    bisect places both ends, and a step or two settles them where the
+    rounded |v - centre| crosses radius, which is monotone on each side of
+    centre: the set numpy's np.abs(x - centre) <= radius selects.
+    """
+    n = len(ys)
+    i = bisect.bisect_left(ys, centre - radius)
+    while i > 0 and abs(ys[i - 1] - centre) <= radius:
+        i -= 1
+    while i < n and centre - ys[i] > radius:
+        i += 1
+    j = bisect.bisect_right(ys, centre + radius, i)
+    while j > i and ys[j - 1] - centre > radius:
+        j -= 1
+    while j < n and ys[j] - centre <= radius:
+        j += 1
+    return i, j
+
+
+def _sorted_loglik(data, mu, sigma, c, k, eps):
+    """_fit_loglik on the fit's sorted sample data, by slices; the same z, summed in another order.
+
+    Below mu the points take z = (mu - y) / (sigma (1 - eps)), from mu on
+    (y - mu) / (sigma (1 + eps)): the bits of _fold's z.  The points within
+    the floor of mu (a window around the split) share their side's z =
+    floor / scale, and add its terms times their count.  The others are
+    written into data.work, below mu's side first, so that the points with
+    z < 1 are one run of it, around the split: only there is t = -c log z
+    positive, and log(1 + e**t) = t + log(1 + e**-t).  Needs floor > 0.
+    """
+    y, ys, floor, w = data.values, data.ys, data.floor, data.work
+    n = len(ys)
+    s_neg, s_pos = sigma * (1.0 - eps), sigma * (1.0 + eps)
+    a, b = _within(ys, mu, floor)  # the floor window
+    split = bisect.bisect_left(ys, mu, a, b)
+    m = a + n - b  # points off the floor
+    # the run of z < 1; a point beside its ends has z near 1, where both forms of the softplus hold
+    lo = bisect.bisect_right(ys, mu - s_neg, 0, a)
+    hi = a + bisect.bisect_left(ys, mu + s_pos, b) - b
+    u, mid = w[:m], w[lo:hi]
+    np.divide(np.subtract(mu, y[:a], out=w[:a]), s_neg, out=w[:a])
+    np.divide(np.subtract(y[b:], mu, out=w[a:m]), s_pos, out=w[a:m])
+    np.log(u, out=u)
+    lz = u.sum()
+    u *= -c  # t
+    t = mid.sum()
+    np.negative(mid, out=mid)  # -|t|
+    np.log1p(np.exp(u, out=u), out=u)
+    soft = u.sum() + t
+    for count, scale in ((split - a, s_neg), (b - split, s_pos)):
+        if count:
+            lzf = math.log(floor / scale)
+            lz += count * lzf
+            soft += count * log1p_exp(-c * lzf)
+    return n * math.log(c * k / (2.0 * sigma)) - (c + 1.0) * lz - (k + 1.0) * soft
 
 
 def _fsum(parts):
@@ -310,13 +384,24 @@ def _mu_sums(x, mu, sigma, c, k, eps, floor):
     return np.array([-(f_u @ r), f_uu @ r])
 
 
+_DERIV_CHUNK = 1 << 12  # points per product in _deriv_sums
+
+
 def _deriv_sums(x, mu, sigma, c, k, eps, floor):
     """One block's 5 x 10 array of sums over points of products of two terms.
 
     Row terms (1, f_u, f_uu, t, log(1 + z**-c)), column terms (1, r, v,
     r**2, r v, v**2, u, u r, u v, u**2): those of _u_terms, and v = eps - s,
-    s the sign of d, which is du/d atanh(eps).
+    s the sign of d, which is du/d atanh(eps).  A block of more than
+    _DERIV_CHUNK points is reduced in pieces of that many, whose 15 stacked
+    rows of terms (480 KiB) stay in cache; a full block's cost 2.5 times as
+    much per point.
     """
+    if x.size > _DERIV_CHUNK:  # a full block's stacked rows take 960 KiB
+        return sum(
+            _deriv_sums(x[i : i + _DERIV_CHUNK], mu, sigma, c, k, eps, floor)
+            for i in range(0, x.size, _DERIV_CHUNK)
+        )
     pos, u, t, f_u, f_uu, r = _u_terms(x, mu, sigma, c, k, eps, floor)
     v = _pick(pos, eps - 1.0, eps + 1.0)
     one = np.ones_like(u)
@@ -353,9 +438,10 @@ def _theta_derivs(x, p, floor):
     return g, h
 
 
-def _mu_pinned(x, mu, floor):
-    """True when mu sits at or inside the resolution floor of a data point."""
-    return bool(np.min(np.abs(x - mu)) <= floor * (1.0 + 1e-9))
+def _mu_pinned(data, mu):
+    """True when mu sits at or inside the resolution floor of a point of the sorted sample data."""
+    i, j = _within(data.ys, mu, data.floor * (1.0 + 1e-9))
+    return i < j
 
 
 def _scaled_score_norm(g, p, include_mu, include_c=True):
@@ -481,8 +567,8 @@ def _tr_subproblem(g, hess, radius):
     return q @ (s * (radius / np.linalg.norm(s)))
 
 
-def _tr_move(x, p, ll, free, radius, floor):
-    """One trust-region Newton step over the free coordinates; returns (p, ll, radius).
+def _tr_move(data, p, ll, free, radius):
+    """One trust-region Newton step over the free coordinates of p on data; returns (p, ll, radius).
 
     The model takes the exact gradient and Hessian of _theta_derivs.  A
     step is kept only if it raises the objective, else the radius shrinks
@@ -491,7 +577,7 @@ def _tr_move(x, p, ll, free, radius, floor):
     radius is reset to _RADIUS0.  A gradient or Hessian that is not finite
     leaves p, with a DEBUG record.
     """
-    g, hess = _theta_derivs(x, p, floor)
+    g, hess = _theta_derivs(data.values, p, data.floor)
     g, hess = g[free], hess[np.ix_(free, free)]
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
         _log.debug("trust-region step skipped: score or Hessian not finite at %s", p)
@@ -504,7 +590,7 @@ def _tr_move(x, p, ll, free, radius, floor):
             q = _moved(p, free, s)
             if not gain > 0.0 or q == p:
                 break
-            q_ll = _fit_loglik(x, q.mu, q.sigma, q.c, q.k, q.eps, floor)
+            q_ll = _sorted_loglik(data, q.mu, q.sigma, q.c, q.k, q.eps)
             length = float(np.linalg.norm(s))
             if q_ll > ll:
                 rho = (q_ll - ll) / gain
@@ -590,8 +676,8 @@ def _line_max(f, a, b, x, fx, tol, land=None):
 _NEAR = slice(18, 23)  # the centre node of the mu move's 41 and two on each side
 
 
-def _comb_mu_update(x, p, floor, spread, full=True):
-    """The mu move: the best of 41 nodes over mu +- max(4 sigma (1 + |eps|), spread).
+def _comb_mu_update(data, p, full=True):
+    """The mu move on data: the best of 41 nodes over mu +- max(4 sigma (1 + |eps|), data.spread).
 
     With full false only the centre node and two on each side are
     evaluated, and the other 36 only when the best of those five is on
@@ -608,19 +694,23 @@ def _comb_mu_update(x, p, floor, spread, full=True):
     every observation when c*k < 1.
     """
 
+    x, floor = data.values, data.floor
+
     def f(m):
-        return _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor)
+        return _sorted_loglik(data, m, p.sigma, p.c, p.k, p.eps)
 
     def scan(nodes):
         if x.size > _BLOCK:
             return np.array([f(m) for m in nodes])
-        col, rows = nodes.reshape(-1, 1), _BLOCK // x.size  # rows of nodes that fill a block
+        # rows of nodes that fill a block, and less than two: one call scans the five-node
+        # window up to n = 2047
+        col, rows = nodes.reshape(-1, 1), -(-_BLOCK // x.size)
         return np.concatenate([
             _block_loglik(x, col[i : i + rows], p.sigma, p.c, p.k, p.eps, floor)
             for i in range(0, nodes.size, rows)
         ])
 
-    width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), spread)
+    width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread)
     grid = p.mu + np.linspace(-width, width, 41)
     if full:
         vals = scan(grid)
@@ -636,12 +726,12 @@ def _comb_mu_update(x, p, floor, spread, full=True):
     grid = grid.tolist()
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     lo, hi, m, val = _golden_max(f, lo, hi, floor)
-    m, val = _finish_mu(x, p, floor, lo, hi, m, val)
+    m, val = _finish_mu(data, p, lo, hi, m, val)
     return (float(m), val) if val >= vals[i] else (grid[i], float(vals[i]))
 
 
-def _finish_mu(x, p, floor, a, b, m, fm):
-    """The mu move's last stage: refine the bracket [a, b] around m, fm = f(m), to 1e-6 floor.
+def _finish_mu(data, p, a, b, m, fm):
+    """The mu move's last stage on data: refine [a, b] around m, fm = f(m), to 1e-6 floor.
 
     When no observation lies within the floor of the bracket, the
     objective is the exact log-likelihood there and smooth in mu, and
@@ -659,15 +749,18 @@ def _finish_mu(x, p, floor, a, b, m, fm):
     Returns the best probe (mu, f(mu)).
     """
 
+    x, floor = data.values, data.floor
+
     def f(mu):
-        return _fit_loglik(x, mu, p.sigma, p.c, p.k, p.eps, floor)
+        return _sorted_loglik(data, mu, p.sigma, p.c, p.k, p.eps)
 
     def slope(mu, floor=floor):
         return _summed(lambda xb: _mu_sums(xb, mu, p.sigma, p.c, p.k, p.eps, floor), x)
 
     tol = 1e-6 * floor
-    near = x[np.abs(x - 0.5 * (a + b)) <= 0.5 * (b - a) + floor]
-    if not near.size:
+    i, j = _within(data.ys, 0.5 * (a + b), 0.5 * (b - a) + floor)
+    near = data.ys[i:j]
+    if not near:
         # no point comes within the floor, so floor 0 gives the working terms
         mu = _newton_max(lambda mu: slope(mu, 0.0), a, b, m, tol)
         fmu = f(mu)
@@ -691,7 +784,7 @@ def _finish_mu(x, p, floor, a, b, m, fm):
 
 
 def _breakpoints(near, p, floor, step):
-    """The breaks in mu of the working objective from the observations near, sorted.
+    """The breaks in mu of the working objective from the sorted observations near, sorted.
 
     Each is (at, landing, tests): an observation's term is constant on
     either side of it while mu is within its floor, so it has a corner at
@@ -708,7 +801,7 @@ def _breakpoints(near, p, floor, step):
         for s in (1.0, -1.0)
     )
     breaks = []
-    for xi in np.unique(near).tolist():
+    for xi in dict.fromkeys(near):
         h = max(step, 16.0 * math.ulp(xi))  # some ulps of xi even on the finest floor
         for corner in (xi - floor, xi + floor):
             breaks.append((corner, corner, ((corner - h, 1.0), (corner + h, -1.0))))
@@ -753,21 +846,21 @@ def solve_coordinate(p, which, data, cfg=None):
     """
     if which not in COORD_NAMES:
         raise DomainError(f"unknown coordinate {which!r}")
-    data = _floored(np.asarray(data.values, dtype=float))
-    x, floor = data.values, data.floor
+    x = np.asarray(data.values, dtype=float)
+    data = _floored(x)
     if which == "mu":
-        return _comb_mu_update(x, p, floor, data.spread)[0]
+        return _comb_mu_update(data, p)[0]
     if which == "k":
         # dl/dk = n/k - sum log(1 + z**-c) vanishes at exactly one k
-        z = _fold(x, p.mu, p.sigma, p.eps, floor)[2]
+        z = _fold(x, p.mu, p.sigma, p.eps, data.floor)[2]
         denom = log1p_exp(-p.c * np.log(z)).sum()
         if not (denom > 0.0 and math.isfinite(denom)):
             raise NoBracketError("k update undefined for this configuration")
         return float(x.size / denom)
     free = [COORD_NAMES.index(which)]
-    ll, radius = _fit_loglik(x, p.mu, p.sigma, p.c, p.k, p.eps, floor), _RADIUS0
+    ll, radius = _sorted_loglik(data, p.mu, p.sigma, p.c, p.k, p.eps), _RADIUS0
     for _ in range((cfg or FitConfig()).max_cycles):
-        q, ll, radius = _tr_move(x, p, ll, free, radius, floor)
+        q, ll, radius = _tr_move(data, p, ll, free, radius)
         if q == p:
             break
         p = q
@@ -784,27 +877,31 @@ def moment_init(data, fixed_c=None):
     imbalance around mu, and (c, k) as the best of a small shape grid by
     likelihood.  Raises DegenerateDataError when the IQR vanishes.
     """
-    x = np.asarray(data.values, dtype=float)
+    return _moment_init(_floored(np.asarray(data.values, dtype=float)), fixed_c)
+
+
+def _moment_init(data, fixed_c):
+    """moment_init on the fit's sorted sample data."""
+    x = data.values
     mu0 = float(np.median(x))
     q25, q75 = np.quantile(x, [0.25, 0.75])
     sigma0 = float(q75 - q25) / 1.349
     if not (sigma0 > 0.0 and math.isfinite(sigma0)):
         raise DegenerateDataError("interquartile range is zero; scale is unidentified")
     eps0 = float(np.clip(1.0 - 2.0 * np.mean(x < mu0), -0.9, 0.9))
-    floor = _data_resolution(x)
     if fixed_c is not None:
         pairs = tuple((float(fixed_c), k) for k in (1.0, 0.2, 3.0, 0.07))
     else:
         pairs = _INIT_SHAPE_GRID
     best_pair, best_ll = pairs[0], -math.inf
     for c0, k0 in pairs:
-        ll = _fit_loglik(x, mu0, sigma0, c0, k0, eps0, floor)
+        ll = _sorted_loglik(data, mu0, sigma0, c0, k0, eps0)
         if ll > best_ll:
             best_pair, best_ll = (c0, k0), ll
     return Params(mu=mu0, sigma=sigma0, c=best_pair[0], k=best_pair[1], eps=eps0)
 
 
-def _pattern_step(x, p_prev, p, ll, floor):
+def _pattern_step(data, p_prev, p, ll):
     """Extrapolate along the last iteration's displacement while it improves.
 
     Doubles the step in the fit's natural coordinates (log scale for
@@ -826,7 +923,7 @@ def _pattern_step(x, p_prev, p, ll, floor):
             k=p.k * math.exp(t * dlk),
             eps=float(np.clip(p.eps + t * de, -1.0 + _EPS_EDGE, 1.0 - _EPS_EDGE)),
         )
-        q_ll = _fit_loglik(x, q.mu, q.sigma, q.c, q.k, q.eps, floor)
+        q_ll = _sorted_loglik(data, q.mu, q.sigma, q.c, q.k, q.eps)
         if not q_ll > ll:
             break
         p, ll = q, q_ll
@@ -857,7 +954,7 @@ def _start_points(data, fixed_c):
     ridge with local optima.  Each takes moment_init's (c, k) and those of
     _START_SHAPES (with c = fixed_c when c is pinned), without repeats.
     """
-    base = moment_init(data, fixed_c)
+    base = _moment_init(data, fixed_c)
     ridge = [base] + [
         replace(base, mu=float(np.quantile(data.values, 0.5 * (1.0 - e0))), eps=e0)
         for e0 in _START_EPS[1:]
@@ -900,35 +997,44 @@ def _ascend(data, p, cfg, score_tol, ends=()):
     of earlier starts; the run stops unconverged once it reaches one of
     them (see _joined).  Returns (p, ll, converged, cycles,
     trace, norm), norm being the scaled working-score norm at the final p.
+    The score is computed only where it is needed: when an iteration
+    meets param_tol, and for the norm at the end.
     """
     x, floor = data.values, data.floor
-    ll = _fit_loglik(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
+
+    def score_norm(p):
+        g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
+        return _scaled_score_norm(g, p, not _mu_pinned(data, p.mu), cfg.fixed_c is None)
+
+    ll = _sorted_loglik(data, p.mu, p.sigma, p.c, p.k, p.eps)
     if math.isnan(ll):
         raise DegenerateDataError("likelihood undefined at the starting point")
     shape = [1, 3, 4] if cfg.fixed_c is not None else [1, 2, 3, 4]
     trace = [(0, float(ll))]
     converged, radius, cycle = False, _RADIUS0, 0
     for cycle in range(1, cfg.max_cycles + 1):
-        p_prev = p
+        p_prev, norm = p, None
         # a start's first mu move scans all 41 nodes; later ones seldom leave mu's window
-        mu, mu_ll = _comb_mu_update(x, p, floor, data.spread, full=cycle == 1)
+        mu, mu_ll = _comb_mu_update(data, p, full=cycle == 1)
         if mu_ll > ll:
             p, ll = replace(p, mu=mu), mu_ll
-        hold_mu = p.c * p.k < 1.0 or _mu_pinned(x, p.mu, floor)
-        p, ll, radius = _tr_move(x, p, ll, shape if hold_mu else [0, *shape], radius, floor)
-        p, ll = _pattern_step(x, p_prev, p, ll, floor)
+        hold_mu = p.c * p.k < 1.0 or _mu_pinned(data, p.mu)
+        p, ll, radius = _tr_move(data, p, ll, shape if hold_mu else [0, *shape], radius)
+        p, ll = _pattern_step(data, p_prev, p, ll)
         trace.append((cycle, float(ll)))
-        g = _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, floor)
-        norm = _scaled_score_norm(g, p, not _mu_pinned(x, p.mu, floor), cfg.fixed_c is None)
-        if _rel_change(p, p_prev) <= cfg.param_tol and norm <= score_tol:
-            # a stop inside the resolution floor is on the sigma -> 0, k -> inf ray; a
-            # shoulder, sigma (1 + |eps|) / c wide for c > 1, inside it on the c -> inf, k -> 0 one
-            converged = p.sigma * (1.0 + abs(p.eps)) > floor * max(1.0, p.c)
-            if not converged:
-                _log.debug(
-                    "cycle %d: stopped on a boundary ray, sigma %.3g, c %.3g", cycle, p.sigma, p.c
-                )
-            break
+        if _rel_change(p, p_prev) <= cfg.param_tol:
+            norm = score_norm(p)
+            if norm <= score_tol:
+                # a stop inside the resolution floor is on the sigma -> 0, k -> inf ray;
+                # a shoulder, sigma (1 + |eps|) / c wide for c > 1, inside it on the
+                # c -> inf, k -> 0 one
+                converged = p.sigma * (1.0 + abs(p.eps)) > floor * max(1.0, p.c)
+                if not converged:
+                    _log.debug(
+                        "cycle %d: stopped on a boundary ray, sigma %.3g, c %.3g",
+                        cycle, p.sigma, p.c,
+                    )
+                break
         if p == p_prev:
             # fixed point: every later iteration would repeat this one
             _log.debug("cycle %d: fixed point at loglik %.17g", cycle, ll)
@@ -941,40 +1047,53 @@ def _ascend(data, p, cfg, score_tol, ends=()):
         if j is not None:
             _log.debug("cycle %d: joined start %d's end point at loglik %.17g", cycle, j, ll)
             break
+    if norm is None:
+        norm = score_norm(p)
     return p, ll, converged, cycle, trace, norm
 
 
 def _map_mu(x, data, mu, med, sign, scale):
     """mu on the standardized data mapped back to x, on the same side of every observation.
 
-    A point at mu counts on the positive side, so with eps != 0 the
-    working objective jumps there.  Mapping back rounds to the spacing of
-    x, which can put mu on an observation it lay beside in data, or past
-    it, and the reflection (sign -1) swaps the sides.  So the mapped mu
-    is clamped between the observations within the floor that must stay
-    at or above it and those that must stay below it.
+    x is sorted and data is _floored(sign * (x - med) / scale), so data's
+    i-th point is x[i] for sign +1 and x[n - 1 - i] for sign -1.  A point
+    at mu counts on the positive side, so with eps != 0 the working
+    objective jumps there.  Mapping back rounds to the spacing of x, which
+    can put mu on an observation it lay beside in data, or past it, and
+    the reflection (sign -1) swaps the sides.  So the mapped mu is clamped
+    between the observations within the floor that must stay at or above
+    it and those that must stay below it.
     """
     out = med + sign * scale * mu
-    d = data.values - mu
-    near = np.abs(d) <= data.floor
-    if not near.any():
+    i, j = _within(data.ys, mu, data.floor)
+    if i == j:
         return out
-    # d >= 0 counts positive; the same side in x is x - out >= 0 for sign +1, < 0 for -1
-    above = (d[near] >= 0.0) == (sign > 0.0)
-    out = min(out, float(x[near][above].min(initial=math.inf)))
-    below = float(x[near][~above].max(initial=-math.inf))
-    return math.nextafter(below, math.inf) if out <= below else out
+    split = bisect.bisect_left(data.ys, mu, i, j)  # data's [split, j) count positive
+    if sign < 0.0:  # in x's order, data's [i, split) are x's [n - split, n - i)
+        n = x.size
+        i, split, j = n - j, n - split, n - i
+    # the same side in x is x - out >= 0 for x's [split, j), < 0 for [i, split)
+    if split < j:
+        out = min(out, float(x[split]))
+    if i < split:
+        below = float(x[split - 1])
+        if out <= below:
+            return math.nextafter(below, math.inf)
+    return out
 
 
 def fit_ml(data, cfg=None):
     """Maximum-likelihood fit by a trust-region Newton loop on standardized data.
 
     Requires at least 20 observations.  The data are standardized by the
-    median, a power-of-two scale near the IQR and a reflection, fitted,
-    and mapped back, so params, loglik and trace refer to the data as
-    given.  Unless cfg.init pins the start, the loop runs from up to nine
-    starts (three points on the mu-eps ridge, three shapes each) and the
-    best final objective wins; the reported trace is the winning run's.
+    median, a power-of-two scale near the IQR and a reflection, sorted
+    once, fitted, and mapped back, so params, loglik and trace refer to the
+    data as given, and any order of the same values gives the same result
+    bit for bit.  The fitter's objective passes are arithmetic on slices
+    of the sorted sample.  Unless cfg.init pins the start, the loop runs
+    from up to nine starts (three points on the mu-eps ridge, three shapes
+    each) and the best final objective wins; the reported trace is the
+    winning run's.
     A start that reaches an earlier start's converged end point without
     beating it stops there, so each optimum is refined once.
     Convergence means both the relative parameter change over an
@@ -999,6 +1118,7 @@ def fit_ml(data, cfg=None):
         raise DegenerateDataError("the sample's spread overflows")
     sign = -1.0 if q75 - med < med - q25 else 1.0
     scale = math.ldexp(1.0, math.frexp(width)[1])
+    x = np.sort(x)
     floored = _floored(sign * (x - med) / scale)
     score_tol = cfg.score_tol if cfg.score_tol is not None else 1e-5 * n
 

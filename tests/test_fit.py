@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import re
@@ -436,6 +437,67 @@ class TestGridKernels:
             )
 
 
+class TestSortedSample:
+    """The fitter works on its sample sorted once; the data's order cannot reach a fit."""
+
+    @pytest.mark.parametrize("n", [20, 2000, _BLOCK + 1, 20000])
+    @pytest.mark.parametrize("shape", [(5.0, 0.2), (2.0, 1.0), (0.5, 4.0)])
+    def test_slice_objective_is_the_masked_one(self, n, shape):
+        from esbiii.burr3 import _fold
+        from esbiii.fit import _fit_loglik, _floored, _sorted_loglik
+
+        c, k = shape
+        x = sample(Params(0.0, 1.0, c, k, 0.3), n, seed=7)
+        data = _floored(x)
+        ys, floor = data.ys, data.floor
+        # an observation whose gaps to its neighbours exceed the floor
+        gaps = np.diff(data.values)
+        i = next(i for i in range(n // 2, n - 1) if min(gaps[i - 1], gaps[i]) > floor)
+        obs, d_below, d_above = ys[i], ys[i] - ys[i - 1], ys[i + 1] - ys[i]
+        cases = [
+            # mu below all data, above all, on an observation, inside its floor
+            (ys[0] - 1.0, 1.1, 0.3),
+            (ys[-1] + 1.0, 0.8, -0.4),
+            (obs, 1.1, 0.3),
+            (obs + 0.5 * floor, 0.9, -0.2),
+            # a neighbour of mu at z = 1 exactly: sigma (1 -+ 0.5) is that gap
+            (obs, 2.0 * d_below, 0.5),
+            (obs, 2.0 * d_above, -0.5),
+            # both side scales within the floor: no point has z < 1
+            (obs + 0.25 * floor, 0.5 * floor, 0.2),
+            (obs, 0.1 * floor, -0.3),
+            # a scale beyond nearly all the data: z < 1 almost everywhere
+            (obs, 1e6, 0.1),
+        ]
+        for mu, sigma, eps in cases:
+            got = _sorted_loglik(data, mu, sigma, c, k, eps)
+            want = _fit_loglik(x, mu, sigma, c, k, eps, floor)
+            assert abs(got - want) <= 1e-13 * abs(want), (mu, sigma, eps)
+            if sigma in (2.0 * d_below, 2.0 * d_above):
+                assert 1.0 in _fold(x, mu, sigma, eps, floor)[2]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _fit_as_drawn(truth, n, seed):
+        x = sample(Params(0.0, 1.0, *truth), n, seed=seed)
+        return x, fit_ml(Dataset(x))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from([((5.0, 0.2, 0.4), 200), ((2.0, 1.0, -0.3), 200), ((5.0, 0.1, 0.2), 50)]),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_permutation_gives_the_same_fit(self, case, seed, rnd):
+        (truth, n) = case
+        x, r = self._fit_as_drawn(truth, n, seed)
+        order = list(range(n))
+        rnd.shuffle(order)
+        permuted = fit_ml(Dataset(x[order]))
+        # every field, bit for bit: a float's repr is exact
+        assert repr(permuted) == repr(r)
+
+
 class TestMuMove:
     def test_returned_mu_is_a_local_maximum(self):
         from esbiii.fit import _data_resolution, _fit_loglik
@@ -455,16 +517,17 @@ class TestMuMove:
     def objective_calls(self, monkeypatch):
         """(x.size, shape of mu) of every _block_loglik call; a column of mu is a scan.
 
-        The mu slope kernel's calls are listed too, with shape (), so that
-        the mu move's work cannot hide in it.
+        The sorted sample's objective and the mu slope kernel's calls are
+        listed too, with shape () and the sample's size, so that the mu
+        move's work cannot hide in them.
         """
         import esbiii.fit
 
         calls = []
-        for name in ("_block_loglik", "_mu_sums"):
+        for name in ("_block_loglik", "_sorted_loglik", "_mu_sums"):
 
             def counted(x, mu, *args, orig=getattr(esbiii.fit, name)):
-                calls.append((x.size, np.shape(mu)))
+                calls.append((getattr(x, "values", x).size, np.shape(mu)))
                 return orig(x, mu, *args)
 
             monkeypatch.setattr(esbiii.fit, name, counted)
@@ -486,10 +549,10 @@ class TestMuMove:
         x, data, p = bimodal_mode
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
         q = replace(p, mu=p.mu + cells * cell)
-        near = _comb_mu_update(x, q, data.floor, data.spread, full=False)
+        near = _comb_mu_update(data, q, full=False)
         assert sum(shape[0] for _, shape in objective_calls if len(shape) == 2) == nodes
         objective_calls.clear()
-        assert _comb_mu_update(x, q, data.floor, data.spread) == near
+        assert _comb_mu_update(data, q) == near
         assert sum(shape[0] for _, shape in objective_calls if len(shape) == 2) == 41
 
     @pytest.mark.parametrize(
@@ -509,9 +572,9 @@ class TestMuMove:
         windowed = fit_ml(data)
         orig, local = esbiii.fit._comb_mu_update, []
 
-        def full_scan(x, p, floor, spread, full=True):
+        def full_scan(data, p, full=True):
             local.append(not full)
-            return orig(x, p, floor, spread)
+            return orig(data, p)
 
         monkeypatch.setattr(esbiii.fit, "_comb_mu_update", full_scan)
         forced = fit_ml(data)
@@ -525,28 +588,33 @@ class TestMuMove:
         return sum(size * math.prod(shape) for size, shape in calls)
 
     def test_objective_elements_of_a_boundary_fit(self, objective_calls):
-        # a count, not a wall time: 6,696,000 objective and 580,000 mu slope
-        # elements with the landing on breaks; 8,192,000 and 398,000 with
-        # Brent's method closing in on them, 16,648,000 objective elements
-        # with every mu scan at 41 nodes
-        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_276_000
+        # a count, not a wall time: 4,928,000 sorted-sample objective, 1,718,000
+        # scan and 614,000 mu slope elements; 6,696,000 objective and 580,000
+        # mu slope elements with every objective pass masked, 8,192,000 and
+        # 398,000 with Brent's method closing in on the breaks, 16,648,000
+        # objective elements with every mu scan at 41 nodes
+        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_260_000
 
     @pytest.mark.parametrize(
         "truth, count",
         [
-            ((2.0, 1.0, -0.3), 3_180_000),  # 2,834,000 objective + 346,000 mu slope
-            ((5.0, 0.1, 0.2), 3_002_000),  # 2,804,000 + 198,000
+            # set from masked objective + mu slope elements, 2,834,000 + 346,000 and
+            # 2,804,000 + 198,000; on the sorted sample, objective + scan + mu slope
+            # give 1,914,000 + 902,000 + 348,000 and 1,964,000 + 842,000 + 198,000
+            ((2.0, 1.0, -0.3), 3_180_000),
+            ((5.0, 0.1, 0.2), 3_002_000),
         ],
     )
     def test_objective_elements_of_a_bimodal_and_a_spiked_fit(self, objective_calls, truth, count):
         assert self._elements_of_a_fit(objective_calls, truth) <= 1.1 * count
 
     def test_one_derivative_and_one_score_pass_per_iteration(self, monkeypatch):
-        # the trust-region step's gradient and Hessian come from one pass, and
-        # the convergence test's score from one more
+        # the trust-region step's gradient and Hessian come from one pass; the
+        # convergence test's score is needed only in an iteration that meets
+        # param_tol, and for the norm a run returns
         import esbiii.fit
 
-        counts = {"_deriv_sums": 0, "_score_sums": 0, "iterations": 0}
+        counts = {"_deriv_sums": 0, "_score_sums": 0, "iterations": 0, "runs": 0, "met": 0}
         for name in ("_deriv_sums", "_score_sums"):
 
             def counted(*args, name=name, orig=getattr(esbiii.fit, name)):
@@ -558,30 +626,37 @@ class TestMuMove:
         def ascend(*args, orig=esbiii.fit._ascend):
             run = orig(*args)
             counts["iterations"] += run[3]
+            counts["runs"] += 1
             return run
 
+        def rel_change(*args, orig=esbiii.fit._rel_change):
+            change = orig(*args)
+            counts["met"] += change <= FitConfig().param_tol
+            return change
+
         monkeypatch.setattr(esbiii.fit, "_ascend", ascend)
+        monkeypatch.setattr(esbiii.fit, "_rel_change", rel_change)
         fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
-        assert counts["iterations"] > 0
+        assert counts["iterations"] > counts["runs"] + counts["met"]
         assert counts["_deriv_sums"] <= counts["iterations"]
-        assert counts["_score_sums"] <= counts["iterations"]
+        assert counts["_score_sums"] <= counts["runs"] + counts["met"]
 
     @pytest.fixture(scope="class")
     def smooth_case(self):
-        """Bimodal data (fitted c*k near 2), the fitted point, and its floor and scan cell."""
+        """Bimodal data (fitted c*k near 2), drawn and sorted, the fitted point and scan cell."""
         from esbiii.fit import _floored
 
         x = sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 2000, seed=1)
         data = _floored(x)
         p = fit_ml(Dataset(x)).params
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
-        return x, data.floor, p, cell
+        return x, data, p, cell
 
     @staticmethod
-    def _objective(x, p, floor):
-        from esbiii.fit import _fit_loglik
+    def _objective(data, p):
+        from esbiii.fit import _sorted_loglik
 
-        return lambda m: _fit_loglik(x, m, p.sigma, p.c, p.k, p.eps, floor)
+        return lambda m: _sorted_loglik(data, m, p.sigma, p.c, p.k, p.eps)
 
     @pytest.mark.parametrize("shift, d_eps", [(0.0, 0.0), (0.3, 0.02), (-0.6, -0.05)])
     def test_newton_finish_ends_at_a_local_maximum(self, monkeypatch, smooth_case, shift, d_eps):
@@ -592,13 +667,14 @@ class TestMuMove:
             raise AssertionError("Brent's stage ran on a smooth bracket")
 
         monkeypatch.setattr(esbiii.fit, "_line_max", refuse)
-        x, floor, p, cell = smooth_case
+        x, data, p, cell = smooth_case
+        floor = data.floor
         p = replace(p, eps=p.eps + d_eps)
-        f = self._objective(x, p, floor)
+        f = self._objective(data, p)
         centre = p.mu + shift * cell
         a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
         assert np.min(np.abs(x - 0.5 * (a + b))) > 0.5 * (b - a) + floor  # a smooth bracket
-        mu, val = _finish_mu(x, p, floor, a, b, m, fm)
+        mu, val = _finish_mu(data, p, a, b, m, fm)
         assert a <= mu <= b
         assert val == f(mu) >= fm
         step = 1e-6 * floor
@@ -614,12 +690,13 @@ class TestMuMove:
         # made before Brent's bracket holds it alone
         from esbiii.fit import _finish_mu, _line_max
 
-        x, floor, p, cell = smooth_case
+        x, data, p, cell = smooth_case
+        floor = data.floor
         obs = float(x[np.argmin(np.abs(x - p.mu))])
         a, b = obs + 0.4 * floor, obs + 1.3 * floor
-        f = self._objective(x, p, floor)
+        f = self._objective(data, p)
         m = a + 0.618 * (b - a)
-        assert _finish_mu(x, p, floor, a, b, m, f(m)) == _line_max(f, a, b, m, f(m), 1e-6 * floor)
+        assert _finish_mu(data, p, a, b, m, f(m)) == _line_max(f, a, b, m, f(m), 1e-6 * floor)
 
     def test_break_that_a_probe_beats_keeps_brents_end(self, smooth_case):
         # at c*k = 1 the bracket around the eighth observation nearest mu
@@ -627,22 +704,24 @@ class TestMuMove:
         # its value: landing there would end 0.14 below Brent's end
         from esbiii.fit import _finish_mu, _golden_max, _line_max
 
-        x, floor, p, cell = smooth_case
+        x, data, p, cell = smooth_case
+        floor = data.floor
         p = replace(p, c=1.0 / p.k, eps=p.eps + 0.1)
         centre = float(x[np.argsort(np.abs(x - p.mu))[7]])
-        f = self._objective(x, p, floor)
+        f = self._objective(data, p)
         a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
-        assert _finish_mu(x, p, floor, a, b, m, fm) == _line_max(f, a, b, m, fm, 1e-6 * floor)
+        assert _finish_mu(data, p, a, b, m, fm) == _line_max(f, a, b, m, fm, 1e-6 * floor)
 
     def test_smooth_bracket_takes_newton_below_c_k_1(self, monkeypatch, smooth_case):
         import esbiii.fit
         from esbiii.fit import _finish_mu, _line_max
 
-        x, floor, p, cell = smooth_case
+        x, data, p, cell = smooth_case
+        floor = data.floor
         p = replace(p, c=0.9 / p.k)
         a, b = p.mu - 0.45 * floor, p.mu + 0.45 * floor
         assert np.min(np.abs(x - p.mu)) > 1.45 * floor  # no observation within the floor
-        f = self._objective(x, p, floor)
+        f = self._objective(data, p)
         m = a + 0.618 * (b - a)
         brent = _line_max(f, a, b, m, f(m), 1e-6 * floor)
 
@@ -650,20 +729,20 @@ class TestMuMove:
             raise AssertionError("Brent's stage ran on a smooth bracket")
 
         monkeypatch.setattr(esbiii.fit, "_line_max", refuse)
-        mu, val = _finish_mu(x, p, floor, a, b, m, f(m))
+        mu, val = _finish_mu(data, p, a, b, m, f(m))
         assert a <= mu <= b
         assert val == f(mu) >= brent[1]
 
     @pytest.fixture(scope="class")
     def spiked_case(self):
-        """Spiked data (fitted c*k near 0.52), the fitted point, and its floor and scan cell."""
+        """Spiked data (fitted c*k near 0.52), drawn and sorted, the fitted point and scan cell."""
         from esbiii.fit import _floored
 
         x = sample(Params(0.0, 1.0, 5.0, 0.1, 0.2), 2000, seed=1)
         data = _floored(x)
         p = fit_ml(Dataset(x)).params
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
-        return x, data.floor, p, cell
+        return x, data, p, cell
 
     @pytest.mark.parametrize("case", ["jump, c*k = 0.9", "corner, c*k = 0.9", "spiked"])
     def test_break_landing_beats_brent_at_half_the_calls(
@@ -671,17 +750,18 @@ class TestMuMove:
     ):
         from esbiii.fit import _finish_mu, _golden_max, _line_max
 
-        x, floor, p, cell = spiked_case if case == "spiked" else smooth_case
+        x, data, p, cell = spiked_case if case == "spiked" else smooth_case
+        floor = data.floor
         centre = p.mu
         if case != "spiked":
             p = replace(p, c=0.9 / p.k)
             if case.startswith("jump"):
                 centre = float(x[np.argmin(np.abs(x - p.mu))])
-        f = self._objective(x, p, floor)
+        f = self._objective(data, p)
         a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
         assert np.min(np.abs(x - 0.5 * (a + b))) <= 0.5 * (b - a) + floor  # observations near
         objective_calls.clear()
-        mu, val = _finish_mu(x, p, floor, a, b, m, fm)
+        mu, val = _finish_mu(data, p, a, b, m, fm)
         finish = len(objective_calls)
         objective_calls.clear()
         brent = _line_max(f, a, b, m, fm, 1e-6 * floor)
@@ -752,10 +832,11 @@ class TestMapMu:
         med, scale = 1e6 + 5.0, 16.0
         data = _floored(sign * (x - med) / scale)
         j = 17
+        xj = x[j] if sign > 0.0 else x[x.size - 1 - j]  # data are sorted: the reflection reverses x
         mu = data.values[j] + delta
         out = _map_mu(x, data, mu, med, sign, scale)
-        assert (x[j] - out >= 0.0) == ((data.values[j] - mu >= 0.0) == (sign > 0.0))
-        assert abs(out - x[j]) <= math.ulp(x[j])
+        assert (xj - out >= 0.0) == ((data.values[j] - mu >= 0.0) == (sign > 0.0))
+        assert abs(out - xj) <= math.ulp(xj)
         # away from the observations it is the plain map
         far = data.values[j] + 0.5 * abs(data.values[1] - data.values[0])
         assert _map_mu(x, data, far, med, sign, scale) == med + sign * scale * far
@@ -812,19 +893,43 @@ class TestAnalyticDerivatives:
             g, _ = _theta_derivs(x, q, fl)
             np.testing.assert_allclose(g, self._theta_score(x, q, fl), rtol=1e-12, atol=0.0)
 
+    def test_a_block_reduced_in_pieces(self, monkeypatch):
+        # _BLOCK + 1 points: a full block, reduced in products of _DERIV_CHUNK
+        # points, and a block of one
+        import esbiii.fit
+        from esbiii.fit import _DERIV_CHUNK, _data_resolution, _theta_derivs
+
+        assert _BLOCK > _DERIV_CHUNK
+        x = sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), _BLOCK + 1, seed=3)
+        floor = _data_resolution(x)
+        for p, fl in (
+            (Params(0.05, 1.1, 2.2, 0.9, -0.25), 0.0),
+            (Params(float(x[4100]) + 0.5 * floor, 1.1, 2.2, 0.9, -0.25), floor),
+        ):
+            g, hess = _theta_derivs(x, p, fl)
+            np.testing.assert_allclose(g, self._theta_score(x, p, fl), rtol=1e-12, atol=0.0)
+            monkeypatch.setattr(esbiii.fit, "_DERIV_CHUNK", _BLOCK)  # one product per block
+            g1, hess1 = _theta_derivs(x, p, fl)
+            monkeypatch.undo()
+            np.testing.assert_allclose(g, g1, rtol=1e-12, atol=0.0)
+            scale = np.sqrt(np.outer(np.abs(np.diag(hess1)), np.abs(np.diag(hess1))))
+            assert np.all(np.abs(hess - hess1) <= 1e-12 * scale)
+            assert np.array_equal(hess, hess.T)
+
 
 class TestTrustRegionStep:
     """The exact trust-region subproblem, on random 5 x 5 models."""
 
     def test_non_finite_derivatives_leave_the_point_with_a_record(self, caplog):
-        from esbiii.fit import _RADIUS0, _tr_move
+        from esbiii.fit import _RADIUS0, _floored, _tr_move
 
         # mu on an observation with no floor: the mu slope is infinite
         x = sample(TRUTH, 200, seed=3)
         p = replace(TRUTH, mu=float(x[5]))
+        data = replace(_floored(x), floor=0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
-                got = _tr_move(x, p, -1e3, [0, 1, 2, 3, 4], 0.5, 0.0)
+                got = _tr_move(data, p, -1e3, [0, 1, 2, 3, 4], 0.5)
         assert got == (p, -1e3, _RADIUS0)
         (rec,) = [r for r in caplog.records if "not finite" in r.getMessage()]
         assert rec.levelno == logging.DEBUG
