@@ -107,15 +107,15 @@ def _fold(y, mu, sigma, eps, floor=0.0):
     z = max(|d|, floor) / (sigma (1 + s eps)) with s = +-1 the sign, the
     point at which the family evaluates its Burr III kernel.  One division
     by each side's scale, whose bits are those of sigma * (1 + s eps): s *
-    eps is exactly +-eps.  z is a fresh array, also for a 0-d y, and
-    broadcasts like y - mu.  The package's only fold: the density, cdf,
+    eps is exactly +-eps.  d and z are fresh arrays, also for a 0-d y, and
+    broadcast like y - mu.  The package's only fold: the density, cdf,
     likelihood, score and influence curves all take their z from here.
     """
     d = np.subtract(y, mu)
     pos = d >= 0.0
     z = np.abs(d)
-    if not z.ndim:  # a 0-d y - mu is a numpy scalar; callers write into z
-        z = np.array(z)
+    if not z.ndim:  # a 0-d y - mu gives numpy scalars; callers write into d and z
+        d, z = np.array(d), np.array(z)
     if floor:
         np.maximum(z, floor, out=z)
     z /= _pick(pos, sigma * (1.0 + eps), sigma * (1.0 - eps))
@@ -129,6 +129,29 @@ def _tmix(lz, c):
     """
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(c * lz))
+
+
+def _u_terms(x, mu, sigma, c, k, eps, floor=0.0):
+    """Per-point terms of the log density's derivatives: (pos, u, t, f_u, r).
+
+    pos and u = log z come from _fold, t = 1/(1 + z**c), and f_u = c(k+1) t
+    - (c+1) is the derivative of -(c+1) u - (k+1) log(1 + z**-c) in u; its
+    second derivative is -(k+1) c**2 t (1 - t).  r = 1/d is -du/dmu, and 0
+    for points on the floor, whose z does not move with mu.  The package's
+    only per-point derivative kernel: the fitter's score, Hessian and mu
+    slope and the influence curves all take their terms from here.  A 0-d
+    x gives 0-d terms.
+    """
+    d, pos, u = _fold(x, mu, sigma, eps, floor)
+    np.log(u, out=u)
+    t = _tmix(u, c)
+    f_u = np.multiply(t, c * (k + 1.0))
+    f_u -= c + 1.0
+    if floor:
+        dead = np.abs(d) <= floor
+        if dead.any():
+            d[dead] = np.inf  # 1/inf = 0
+    return pos, u, t, f_u, np.divide(1.0, d, out=d)
 
 
 def _log_density(log_const, c, k, log_z, out=None):

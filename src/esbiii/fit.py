@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .burr3 import _BLOCK, _blockwise, _fold, _log_density, _pick, _tmix
+from .burr3 import _BLOCK, _blockwise, _fold, _log_density, _pick, _u_terms
 from .distribution import Params
 from .errors import DegenerateDataError, DensityLimitWarning, DomainError, NoBracketError
 from .errors import SmallSampleError, whole_number
@@ -117,7 +117,7 @@ class StandardizedSample:
 def standardize(p, data):
     """StandardizedSample of the data under p; z_i = 0 marks a tie with mu."""
     _, pos, z = _fold(np.asarray(data.values, dtype=float), p.mu, p.sigma, p.eps)
-    return StandardizedSample(s=np.where(pos, 1.0, -1.0), z=z)
+    return StandardizedSample(s=_pick(pos, 1.0, -1.0), z=z)
 
 
 def _data_resolution(x):
@@ -220,14 +220,15 @@ def _fsum(parts):
 def _summed(kernel, x):
     """The sums kernel returns for a block, over all of x: block partials added by _fsum.
 
-    Partials are added entry by entry.  Up to one block the kernel runs
-    once on x, which gives the blocked sums bit for bit: fsum of one
-    partial is that partial (bar the sign of a zero).
+    Partials are added entry by entry, as numpy floats, so a sum that
+    overflows warns.  Up to one block the kernel runs once on x, which
+    gives the blocked sums bit for bit: fsum of one partial is that
+    partial (bar the sign of a zero).
     """
     if x.size <= _BLOCK:
         return kernel(x)
     blocks = _blockwise(kernel, x)
-    cols = np.array(blocks).reshape(len(blocks), -1).T.tolist()
+    cols = np.array(blocks).reshape(len(blocks), -1).T
     return np.array([_fsum(c) for c in cols]).reshape(np.shape(blocks[0]))
 
 
@@ -243,15 +244,8 @@ def _block_loglik(x, mu, sigma, c, k, eps, floor):
 
 
 def _fit_loglik(x, mu, sigma, c, k, eps, floor):
-    """The log-likelihood with each |x_i - mu| floored; exact where min |x_i - mu| >= floor.
-
-    Up to one block it calls that block's kernel directly, whose value is
-    the blocked sum's: fsum of one partial is that partial (bar the sign
-    of a zero).
-    """
-    if x.size <= _BLOCK:
-        return float(_block_loglik(x, mu, sigma, c, k, eps, floor))
-    return _fsum(_blockwise(lambda xb: _block_loglik(xb, mu, sigma, c, k, eps, floor), x))
+    """The log-likelihood with each |x_i - mu| floored; exact where min |x_i - mu| >= floor."""
+    return float(_summed(lambda xb: _block_loglik(xb, mu, sigma, c, k, eps, floor), x))
 
 
 def _loglik_arrays(x, mu, sigma, c, k, eps):
@@ -307,78 +301,40 @@ def score(p, data):
     return _work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)  # numpy warns why
 
 
-def _score_sums(x, mu, sigma, c, k, eps, floor):
-    """One block's sums of log(1 + z**-c), t, log z, t log z and the eps and mu terms.
+def _grad_sums(x, mu, sigma, c, k, eps, floor):
+    """One block's sums of f_u, f_u r, f_u v, f_u u, u and log(1 + z**-c).
 
-    t = 1/(1 + z**c), and the eps and mu terms are coef/(s + eps) and
-    coef/d with coef = (c+1) - c(k+1) t, s = sign(d) and d = x - mu.
+    The terms are those of _u_terms, and v = eps - s as in _deriv_sums:
+    the sums from which _theta_grad forms the score.
     """
-    d, pos, lz = _fold(x, mu, sigma, eps, floor)
-    dead = np.abs(d) <= floor  # points on the floor add nothing to the mu component
-    np.log(lz, out=lz)
-    sp = log1p_exp(-c * lz).sum()
-    t = _tmix(lz, c)
-    t_sum = t.sum()
-    lz_sum = lz.sum()
-    lzt = np.multiply(lz, t, out=lz).sum()
-    coef = np.multiply(t, -c * (k + 1.0), out=t)  # (c+1) - c(k+1) t, in t's buffer
-    coef += c + 1.0
-    # s + eps is 1 + eps or eps - 1
-    g_eps = (coef / _pick(pos, 1.0 + eps, eps - 1.0)).sum()
-    if dead.any():
-        coef[dead] = 0.0
-        d[dead] = 1.0
-    return sp, t_sum, lz_sum, lzt, g_eps, np.divide(coef, d, out=coef).sum()
+    pos, u, _, f_u, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    v = _pick(pos, eps - 1.0, eps + 1.0)
+    return np.array([f_u.sum(), f_u @ r, f_u @ v, f_u @ u, u.sum(), log1p_exp(-c * u).sum()])
 
 
 def _work_score(x, mu, sigma, c, k, eps, floor):
     """Score of the working objective; floor = 0 gives the exact score.
 
     Points inside the floor add a constant to the objective, hence nothing
-    to the mu component; the others use the floored z.  Up to one block
-    the sums come from one direct kernel call, the bits of the blocked ones.
+    to the mu component; the others use the floored z.  The gradient in
+    theta (_theta_grad) divided by d theta / d(mu, sigma, c, k, eps).
     """
-    n = x.size
-    if n <= _BLOCK:
-        sp, t, lz, lzt, g_eps, g_mu = map(float, _score_sums(x, mu, sigma, c, k, eps, floor))
-    else:
-        blocks = _blockwise(lambda xb: _score_sums(xb, mu, sigma, c, k, eps, floor), x)
-        sp, t, lz, lzt, g_eps, g_mu = (_fsum([b[i] for b in blocks]) for i in range(6))
-    g_sigma = (n * c - c * (k + 1.0) * t) / sigma
-    g_c = n / c - lz + (k + 1.0) * lzt
-    return np.array([g_mu, g_sigma, g_c, n / k - sp, g_eps])
-
-
-def _u_terms(x, mu, sigma, c, k, eps, floor):
-    """Per-point terms of the working log density's derivatives: (pos, u, t, f_u, f_uu, r).
-
-    u = log z with z from _fold, and t = 1/(1 + z**c).  f_u = c(k+1) t -
-    (c+1) and f_uu = -(k+1) c**2 t (1 - t) are the first two derivatives of
-    -(c+1) u - (k+1) log(1 + z**-c) in u.  r = 1/d is -du/dmu, and 0 for
-    points on the floor, whose z does not move with mu.
-    """
-    d, pos, u = _fold(x, mu, sigma, eps, floor)
-    np.log(u, out=u)
-    t = _tmix(u, c)
-    f_u = np.multiply(t, c * (k + 1.0))
-    f_u -= c + 1.0
-    f_uu = np.subtract(1.0, t)
-    f_uu *= t
-    f_uu *= -(k + 1.0) * c * c
-    if floor:
-        dead = np.abs(d) <= floor
-        if dead.any():
-            d[dead] = math.inf  # 1/inf = 0
-    return pos, u, t, f_u, f_uu, np.divide(1.0, d, out=d)
+    fu, fu_r, fu_v, fu_u, u, phi = _summed(
+        lambda xb: _grad_sums(xb, mu, sigma, c, k, eps, floor), x
+    ).tolist()
+    g = _theta_grad(x.size, k, fu, fu_r, fu_v, fu_u + u, phi)
+    # (1 - eps)(1 + eps), not 1 - eps**2, keeps its relative accuracy at the ends of (-1, 1)
+    return g / np.array([1.0, sigma, c, k, (1.0 - eps) * (1.0 + eps)])
 
 
 def _mu_sums(x, mu, sigma, c, k, eps, floor):
     """One block's mu slope and mu curvature of the working objective.
 
     The slope is -sum f_u r and the curvature sum (f_uu - f_u) r**2, with
-    the terms of _u_terms.
+    the terms of _u_terms and f_uu = -(k+1) c**2 t (1 - t), f_u's derivative in u.
     """
-    _, _, _, f_u, f_uu, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    _, _, t, f_u, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    f_uu = (1.0 - t) * t * (-(k + 1.0) * c * c)
     f_uu -= f_u
     f_uu *= r
     return np.array([-(f_u @ r), f_uu @ r])
@@ -391,23 +347,29 @@ def _deriv_sums(x, mu, sigma, c, k, eps, floor):
     """One block's 5 x 10 array of sums over points of products of two terms.
 
     Row terms (1, f_u, f_uu, t, log(1 + z**-c)), column terms (1, r, v,
-    r**2, r v, v**2, u, u r, u v, u**2): those of _u_terms, and v = eps - s,
-    s the sign of d, which is du/d atanh(eps).  A block of more than
-    _DERIV_CHUNK points is reduced in pieces of that many, whose 15 stacked
-    rows of terms (480 KiB) stay in cache; a full block's cost 2.5 times as
-    much per point.
+    r**2, r v, v**2, u, u r, u v, u**2): those of _u_terms, f_uu as in
+    _mu_sums, and v = eps - s, s the sign of d, which is du/d atanh(eps).
+    A block of more than _DERIV_CHUNK points is reduced in pieces of that
+    many, whose 15 stacked rows of terms (480 KiB) stay in cache; a full
+    block's cost 2.5 times as much per point.
     """
     if x.size > _DERIV_CHUNK:  # a full block's stacked rows take 960 KiB
         return sum(
             _deriv_sums(x[i : i + _DERIV_CHUNK], mu, sigma, c, k, eps, floor)
             for i in range(0, x.size, _DERIV_CHUNK)
         )
-    pos, u, t, f_u, f_uu, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    pos, u, t, f_u, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    f_uu = (1.0 - t) * t * (-(k + 1.0) * c * c)
     v = _pick(pos, eps - 1.0, eps + 1.0)
     one = np.ones_like(u)
     left = np.stack([one, f_u, f_uu, t, log1p_exp(-c * u)])
     right = np.stack([one, r, v, r * r, r * v, v * v, u, u * r, u * v, u * u])
     return left @ right.T
+
+
+def _theta_grad(n, k, fu, fu_r, fu_v, lb, phi):
+    """The gradient in theta from sums of f_u, f_u r, f_u v, u (f_u + 1), log(1 + z**-c)."""
+    return np.array([-fu_r, -n - fu, n + lb, n - k * phi, fu_v])
 
 
 def _theta_derivs(x, p, floor):
@@ -427,7 +389,7 @@ def _theta_derivs(x, p, floor):
     # sums of d2l/du dlog c = f_u + 1 + f_uu u, times 1, r and v
     ub0, ub_r, ub_v = (fu[j] + one[j] + fuu[6 + j] for j in range(3))
     lb = fu[6] + one[6]  # sum of u (f_u + 1); d l / d log c = 1 + u (f_u + 1)
-    g = np.array([-fu[1], -n - fu[0], n + lb, n - k * phi, fu[2]])
+    g = _theta_grad(n, k, fu[0], fu[1], fu[2], lb, phi)
     h = np.array([
         [fuu[3] - fu[3], fuu[1], -ub_r, -kc * t[1], -fuu[4]],
         [fuu[1], fuu[0], -ub0, -kc * t[0], -fuu[2]],
@@ -852,8 +814,9 @@ def solve_coordinate(p, which, data, cfg=None):
         return _comb_mu_update(data, p)[0]
     if which == "k":
         # dl/dk = n/k - sum log(1 + z**-c) vanishes at exactly one k
-        z = _fold(x, p.mu, p.sigma, p.eps, data.floor)[2]
-        denom = log1p_exp(-p.c * np.log(z)).sum()
+        denom = _summed(
+            lambda xb: _grad_sums(xb, p.mu, p.sigma, p.c, p.k, p.eps, data.floor), x
+        )[5]
         if not (denom > 0.0 and math.isfinite(denom)):
             raise NoBracketError("k update undefined for this configuration")
         return float(x.size / denom)

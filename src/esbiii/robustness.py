@@ -10,6 +10,12 @@ w = s*x / (1 + s*eps):
     psi_k(x)     = 1/k - log(1 + w**-c)
     psi_eps(x)   = s(c+1)/(1 + s*eps) - s*c(k+1)/[(1 + s*eps)(1 + w**c)]
 
+psi evaluates them from the per-point terms of burr3._u_terms at mu = 0,
+sigma = 1, the terms the fitter's score is summed from: with u = log w,
+t = 1/(1 + w**c), f_u = c(k+1) t - (c+1) and r = 1/x they are -f_u r,
+-(1 + f_u), (1 + u (f_u + 1)) / c, 1/k - log(1 + w**-c) and
+f_u (eps - s) / ((1 - eps)(1 + eps)).
+
 All but psi_c stay bounded as |x| grows, which is what makes the location,
 scale, k and skewness scores resistant to gross outliers; the c score
 drifts logarithmically.  psi_mu additionally redescends: it has a finite
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burr3 import _fold, _log_density, _maybe_scalar, _tmix
+from .burr3 import _fold, _log_density, _maybe_scalar, _pick, _u_terms
 from .errors import DomainError
 from .fit import COORD_NAMES
 from .special_math import log1p_exp
@@ -60,20 +66,17 @@ def psi(p, which, x):
     if arr.size and (np.any(arr == 0.0) or not np.all(np.isfinite(arr))):
         raise DomainError("psi requires finite x != 0")
     c, k, eps = p.c, p.k, p.eps
-    _, pos, w = _fold(arr, 0.0, 1.0, eps)
-    lw = np.log(w)
-    t = _tmix(lw, c)  # 1 / (1 + w**c)
+    pos, u, _, f_u, r = _u_terms(arr, 0.0, 1.0, c, k, eps)
     if which == "mu":
-        out = ((c + 1.0) - c * (k + 1.0) * t) / arr
+        out = -f_u * r
     elif which == "sigma":
-        out = c - c * (k + 1.0) * t
+        out = -(1.0 + f_u)
     elif which == "c":
-        out = 1.0 / c - lw + (k + 1.0) * lw * t
+        out = (1.0 + u * (f_u + 1.0)) / c
     elif which == "k":
-        out = 1.0 / k - log1p_exp(-c * lw)
+        out = 1.0 / k - log1p_exp(-c * u)
     else:
-        s = np.where(pos, 1.0, -1.0)
-        out = s * ((c + 1.0) - c * (k + 1.0) * t) / (1.0 + s * eps)
+        out = f_u * _pick(pos, eps - 1.0, eps + 1.0) / ((1.0 - eps) * (1.0 + eps))
     return _maybe_scalar(out, x)
 
 

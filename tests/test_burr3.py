@@ -12,6 +12,7 @@ from esbiii.burr3 import (
     burr3_quantile,
     burr3_sample,
     burr3_shape_class,
+    _u_terms,
 )
 from esbiii.errors import DomainError
 from esbiii.gof import Dataset, ks_statistic
@@ -160,3 +161,12 @@ class TestShapeClass:
         lsh = burr3_pdf(Burr3Params(2.0, 0.25), zs)
         assert np.all(np.diff(lsh) < 0.0)
         assert lsh[0] > lsh[-1] * 1e3
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.5])
+def test_u_terms_of_a_0d_input_are_its_array_entries(floor):
+    x = np.array([-0.7, 0.3, 2.5])  # 0.3 lies within the floor 0.5 of mu
+    rows = _u_terms(x, 0.1, 1.3, 2.0, 0.5, 0.2, floor)
+    for i, xi in enumerate(x):
+        one = _u_terms(np.array(xi), 0.1, 1.3, 2.0, 0.5, 0.2, floor)
+        assert [float(a) for a in one] == [float(a[i]) for a in rows]

@@ -614,8 +614,8 @@ class TestMuMove:
         # param_tol, and for the norm a run returns
         import esbiii.fit
 
-        counts = {"_deriv_sums": 0, "_score_sums": 0, "iterations": 0, "runs": 0, "met": 0}
-        for name in ("_deriv_sums", "_score_sums"):
+        counts = {"_deriv_sums": 0, "_grad_sums": 0, "iterations": 0, "runs": 0, "met": 0}
+        for name in ("_deriv_sums", "_grad_sums"):
 
             def counted(*args, name=name, orig=getattr(esbiii.fit, name)):
                 counts[name] += 1
@@ -639,7 +639,7 @@ class TestMuMove:
         fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
         assert counts["iterations"] > counts["runs"] + counts["met"]
         assert counts["_deriv_sums"] <= counts["iterations"]
-        assert counts["_score_sums"] <= counts["runs"] + counts["met"]
+        assert counts["_grad_sums"] <= counts["runs"] + counts["met"]
 
     @pytest.fixture(scope="class")
     def smooth_case(self):
@@ -1122,7 +1122,7 @@ class TestTmix:
     """1 / (1 + z**c) with one exp, against the softplus form it replaced."""
 
     def test_matches_the_softplus_form(self):
-        from esbiii.fit import _tmix
+        from esbiii.burr3 import _tmix
 
         u = np.linspace(-800.0, 800.0, 200_001)
         ref = np.exp(-np.logaddexp(0.0, u))
@@ -1132,7 +1132,7 @@ class TestTmix:
         np.testing.assert_allclose(got[keep], ref[keep], rtol=4e-15, atol=0.0)
 
     def test_overflow_gives_exactly_zero_without_warning(self):
-        from esbiii.fit import _tmix
+        from esbiii.burr3 import _tmix
 
         # pytest's filterwarnings turns an overflow RuntimeWarning into an error
         u = np.array([710.0, 711.0, 1e3, 1e300, math.inf])
@@ -1140,7 +1140,7 @@ class TestTmix:
         assert _tmix(np.float64(800.0), 1.0) == 0.0
 
     def test_scalar_in_float_out(self):
-        from esbiii.fit import _tmix
+        from esbiii.burr3 import _tmix
 
         for lz in (np.float64(0.3), np.float64(-40.0), 2.0):
             t = _tmix(lz, 1.7)

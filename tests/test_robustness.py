@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esbiii import Params, logpdf
+from esbiii import Params, logpdf, sample
 from esbiii.errors import DomainError
+from esbiii.fit import COORD_NAMES, score
+from esbiii.gof import Dataset
 from esbiii.robustness import (
     build_score_report,
     heavy_tail_check,
@@ -81,7 +83,30 @@ class TestPsi:
         xs = np.array([-3.0, -0.5, 0.4, 2.0])
         vals = psi(P21, "sigma", xs)
         assert vals.shape == xs.shape
-        assert vals[2] == pytest.approx(psi(P21, "sigma", 0.4), rel=1e-14)
+        assert vals[2] == psi(P21, "sigma", 0.4)
+
+
+class TestPsiIsTheScoreTerm:
+    @pytest.mark.parametrize("shape", [(2.0, 1.0, -0.3), (5.0, 0.2, 0.4), (5.0, 0.1, 0.2), (0.8, 0.5, 0.2)])
+    def test_score_is_the_sum_of_psi(self, shape):
+        p = Params(0.0, 1.0, *shape)
+        x = sample(p, 2000, seed=1)
+        g = score(p, Dataset(x))
+        for j, name in enumerate(COORD_NAMES):
+            terms = psi(p, name, x)
+            assert abs(g[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), name
+
+    @pytest.mark.parametrize("eps", [1.0 - 1e-9, -(1.0 - 1e-9)])
+    def test_eps_term_at_the_ends_of_its_range(self, eps):
+        # one side's scale 1 - |eps| is 1e-9: 1 - eps**2 would lose its last eight digits
+        p = Params(0.0, 1.0, 5.0, 0.2, eps)
+        c, k = p.c, p.k
+        x = np.array([-40.0, -3.0, -1.2, -0.6, -0.05, 0.05, 0.6, 1.2, 3.0, 40.0])
+        s = np.sign(x)
+        t = 1.0 / (1.0 + np.exp(c * np.log(s * x / (1.0 + s * eps))))
+        direct = s * ((c + 1.0) - c * (k + 1.0) * t) / (1.0 + s * eps)
+        assert np.all(np.abs(psi(p, "eps", x) / direct - 1.0) <= 1e-14)
+        assert abs(score(p, Dataset(x))[4] / math.fsum(direct) - 1.0) <= 1e-14
 
 
 class TestPsiLimits:
