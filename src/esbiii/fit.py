@@ -43,14 +43,16 @@ fit_ml sorts its standardized sample once (_floored), so a fit depends on
 the data's values alone, not their order, bit for bit.  On sorted data the
 points below mu, those within the floor of it and those with z < 1 are
 runs of indices that bisect finds, so each scalar objective pass of the
-fitter (_sorted_loglik) is arithmetic on slices, with the z of _fold but
-none of its per-point selects; only the mu scan's columns of nodes use the
-masked kernel.
+fitter (_mu_line) is arithmetic on slices, with the z of _fold but none of
+its per-point selects; only the mu scan's columns of nodes use the masked
+kernel.  A mu move binds its objective in mu once, and its golden-section,
+Brent and Newton stages call that line.
 
 An iteration depends on its starting point alone (a failed trust-region
 step is retried from the initial radius), so once one leaves every
 parameter unchanged, bit for bit, every later one would too: the loop
-stops unconverged and logs the fixed point at DEBUG level.  It stops
+stops unconverged and logs the fixed point at DEBUG level, naming the
+boundary ray when it lies on one (_on_ray, below).  It stops
 unconverged too when the tolerances are met with sigma (1 + |eps|) within
 the floor: the data then see only the tails, on the sigma -> 0, k -> inf
 ray.  Likewise with sigma (1 + |eps|) / c within the floor for c > 1: the
@@ -79,7 +81,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .burr3 import _BLOCK, _blockwise, _fold, _log_density, _pick, _u_terms
+from .burr3 import _BLOCK, _blockwise, _fold, _pick, _u_terms
 from .distribution import Params
 from .errors import DegenerateDataError, DensityLimitWarning, DomainError, NoBracketError
 from .errors import SmallSampleError, whole_number
@@ -134,7 +136,7 @@ class _FlooredSample:
     """A fit's sample, sorted, with its resolution floor and its 5-95% quantile spread.
 
     The spread sets the mu scan's size.  ys holds the values as a list for
-    bisect, and work is one scratch array of their size for _sorted_loglik.
+    bisect, and work is one scratch array of their size for _mu_line.
     """
 
     values: np.ndarray
@@ -171,42 +173,63 @@ def _within(ys, centre, radius):
     return i, j
 
 
-def _sorted_loglik(data, mu, sigma, c, k, eps):
-    """_fit_loglik on the fit's sorted sample data, by slices; the same z, summed in another order.
+def _mu_line(data, sigma, c, k, eps):
+    """f(mu), _fit_loglik on the fit's sorted sample data with the other parameters bound.
 
-    Below mu the points take z = (mu - y) / (sigma (1 - eps)), from mu on
-    (y - mu) / (sigma (1 + eps)): the bits of _fold's z.  The points within
-    the floor of mu (a window around the split) share their side's z =
-    floor / scale, and add its terms times their count.  The others are
-    written into data.work, below mu's side first, so that the points with
-    z < 1 are one run of it, around the split: only there is t = -c log z
-    positive, and log(1 + e**t) = t + log(1 + e**-t).  Needs floor > 0.
+    f works by slices: the same z as the masked kernel, summed in another
+    order.  Below mu the points take z = (mu - y) / (sigma (1 - eps)), from
+    mu on (y - mu) / (sigma (1 + eps)): the bits of _fold's z.  The points
+    within the floor of mu (a window around the split) share their side's
+    z = floor / scale, and add its terms times their count.  The others
+    are written into data.work, below mu's side first, so that the points
+    with z < 1 are one run of it, around the split: only there is t = -c
+    log z positive, and log(1 + e**t) = t + log(1 + e**-t).  Needs floor > 0.
+
+    The side scales, the constant, c + 1, k + 1 and each side's floored
+    log z and softplus term are computed once, here, for every call of f.
+    Returns (f, plateau): plateau holds the log density, less its
+    constant, of a point on its floor plateau with mu below it and with mu
+    above it (_breakpoints).
     """
     y, ys, floor, w = data.values, data.ys, data.floor, data.work
     n = len(ys)
     s_neg, s_pos = sigma * (1.0 - eps), sigma * (1.0 + eps)
-    a, b = _within(ys, mu, floor)  # the floor window
-    split = bisect.bisect_left(ys, mu, a, b)
-    m = a + n - b  # points off the floor
-    # the run of z < 1; a point beside its ends has z near 1, where both forms of the softplus hold
-    lo = bisect.bisect_right(ys, mu - s_neg, 0, a)
-    hi = a + bisect.bisect_left(ys, mu + s_pos, b) - b
-    u, mid = w[:m], w[lo:hi]
-    np.divide(np.subtract(mu, y[:a], out=w[:a]), s_neg, out=w[:a])
-    np.divide(np.subtract(y[b:], mu, out=w[a:m]), s_pos, out=w[a:m])
-    np.log(u, out=u)
-    lz = u.sum()
-    u *= -c  # t
-    t = mid.sum()
-    np.negative(mid, out=mid)  # -|t|
-    np.log1p(np.exp(u, out=u), out=u)
-    soft = u.sum() + t
-    for count, scale in ((split - a, s_neg), (b - split, s_pos)):
-        if count:
-            lzf = math.log(floor / scale)
-            lz += count * lzf
-            soft += count * log1p_exp(-c * lzf)
-    return n * math.log(c * k / (2.0 * sigma)) - (c + 1.0) * lz - (k + 1.0) * soft
+    const, c1, k1 = n * math.log(c * k / (2.0 * sigma)), c + 1.0, k + 1.0
+    lz_neg, lz_pos = math.log(floor / s_neg), math.log(floor / s_pos)
+    soft_neg, soft_pos = log1p_exp(-c * lz_neg), log1p_exp(-c * lz_pos)
+    total = np.add.reduce
+
+    def f(mu):
+        a, b = _within(ys, mu, floor)  # the floor window
+        split = bisect.bisect_left(ys, mu, a, b)
+        m = a + n - b  # points off the floor
+        # the run of z < 1; a point beside its ends has z near 1, where both forms of the softplus hold
+        lo = bisect.bisect_right(ys, mu - s_neg, 0, a)
+        hi = a + bisect.bisect_left(ys, mu + s_pos, b) - b
+        u, mid = w[:m], w[lo:hi]
+        np.divide(np.subtract(mu, y[:a], out=w[:a]), s_neg, out=w[:a])
+        np.divide(np.subtract(y[b:], mu, out=w[a:m]), s_pos, out=w[a:m])
+        np.log(u, out=u)
+        lz = total(u)
+        u *= -c  # t
+        t = total(mid)
+        np.negative(mid, out=mid)  # -|t|
+        np.log1p(np.exp(u, out=u), out=u)
+        soft = total(u) + t
+        if split > a:
+            lz += (split - a) * lz_neg
+            soft += (split - a) * soft_neg
+        if b > split:
+            lz += (b - split) * lz_pos
+            soft += (b - split) * soft_pos
+        return const - c1 * lz - k1 * soft
+
+    return f, (-c1 * lz_pos - k1 * soft_pos, -c1 * lz_neg - k1 * soft_neg)
+
+
+def _sorted_loglik(data, mu, sigma, c, k, eps):
+    """_fit_loglik on the fit's sorted sample data at one point: a line of _mu_line, called once."""
+    return _mu_line(data, sigma, c, k, eps)[0](mu)
 
 
 def _fsum(parts):
@@ -233,14 +256,21 @@ def _summed(kernel, x):
 
 
 def _block_loglik(x, mu, sigma, c, k, eps, floor):
-    """One block's working objective; one per node of a mu column."""
+    """One block's working objective; one per node of a mu column.
+
+    The softplus sum over the block is sum log(1 + e**(-c log z)) =
+    sum log1p(e**(-c |log z|)) + c (sum |log z| - sum log z) / 2: the
+    positive parts of -c log z come from the two sums, not per point.
+    """
     d, _, lz = _fold(x, mu, sigma, eps, floor)
     np.log(lz, out=lz)
-    return (
-        x.size * math.log(c * k / (2.0 * sigma))
-        - (c + 1.0) * lz.sum(axis=-1)
-        - (k + 1.0) * log1p_exp(np.multiply(lz, -c, out=d)).sum(axis=-1)
-    )
+    s_lz = lz.sum(axis=-1)
+    a = np.abs(lz, out=d)
+    s_abs = a.sum(axis=-1)
+    a *= -c
+    np.log1p(np.exp(a, out=a), out=a)
+    soft = a.sum(axis=-1) + 0.5 * c * (s_abs - s_lz)
+    return x.size * math.log(c * k / (2.0 * sigma)) - (c + 1.0) * s_lz - (k + 1.0) * soft
 
 
 def _fit_loglik(x, mu, sigma, c, k, eps, floor):
@@ -305,11 +335,25 @@ def _grad_sums(x, mu, sigma, c, k, eps, floor):
     """One block's sums of f_u, f_u r, f_u v, f_u u, u and log(1 + z**-c).
 
     The terms are those of _u_terms, and v = eps - s as in _deriv_sums:
-    the sums from which _theta_grad forms the score.
+    the sums from which _theta_grad forms the score.  The last sum is
+    _tail_sum's, from u and t.
     """
-    pos, u, _, f_u, r = _u_terms(x, mu, sigma, c, k, eps, floor)
+    pos, u, t, f_u, r = _u_terms(x, mu, sigma, c, k, eps, floor)
     v = _pick(pos, eps - 1.0, eps + 1.0)
-    return np.array([f_u.sum(), f_u @ r, f_u @ v, f_u @ u, u.sum(), log1p_exp(-c * u).sum()])
+    return np.array([f_u.sum(), f_u @ r, f_u @ v, f_u @ u, u.sum(), _tail_sum(u, t, c)])
+
+
+def _tail_sum(u, t, c):
+    """sum log(1 + z**-c) over a block, from u = log z and t = 1/(1 + z**c).
+
+    A term is -log t - c u where u < 0 and -log1p(-t) where u >= 0: both
+    parts are >= 0, so nothing cancels, and a t that underflowed to 0
+    gives 0.  Where u < 0, t >= 1/2 and t - 1 is exact, so one log1p pass
+    over -min(t, 1 - t) covers both sides.  t is overwritten.
+    """
+    w = np.subtract(t, 1.0)
+    np.maximum(w, np.negative(t, out=t), out=w)  # -min(t, 1 - t)
+    return -c * np.minimum(u, 0.0, out=t).sum() - np.log1p(w, out=w).sum()
 
 
 def _work_score(x, mu, sigma, c, k, eps, floor):
@@ -344,16 +388,17 @@ _DERIV_CHUNK = 1 << 12  # points per product in _deriv_sums
 
 
 def _deriv_sums(x, mu, sigma, c, k, eps, floor):
-    """One block's 5 x 10 array of sums over points of products of two terms.
+    """One block's sums over points of products of two terms, and of log(1 + z**-c).
 
-    Row terms (1, f_u, f_uu, t, log(1 + z**-c)), column terms (1, r, v,
-    r**2, r v, v**2, u, u r, u v, u**2): those of _u_terms, f_uu as in
-    _mu_sums, and v = eps - s, s the sign of d, which is du/d atanh(eps).
-    A block of more than _DERIV_CHUNK points is reduced in pieces of that
-    many, whose 15 stacked rows of terms (480 KiB) stay in cache; a full
-    block's cost 2.5 times as much per point.
+    Row terms (1, f_u, f_uu, t), column terms (1, r, v, r**2, r v, v**2,
+    u, u r, u v, u**2): those of _u_terms, f_uu as in _mu_sums, and v =
+    eps - s, s the sign of d, which is du/d atanh(eps).  Returns the 4 x
+    10 products, flattened row by row, then _tail_sum's sum of log(1 +
+    z**-c).  A block of more than _DERIV_CHUNK points is reduced in
+    pieces of that many, whose 14 stacked rows of terms (448 KiB) stay in
+    cache; a full block's cost 2.5 times as much per point.
     """
-    if x.size > _DERIV_CHUNK:  # a full block's stacked rows take 960 KiB
+    if x.size > _DERIV_CHUNK:  # a full block's stacked rows take 896 KiB
         return sum(
             _deriv_sums(x[i : i + _DERIV_CHUNK], mu, sigma, c, k, eps, floor)
             for i in range(0, x.size, _DERIV_CHUNK)
@@ -362,9 +407,10 @@ def _deriv_sums(x, mu, sigma, c, k, eps, floor):
     f_uu = (1.0 - t) * t * (-(k + 1.0) * c * c)
     v = _pick(pos, eps - 1.0, eps + 1.0)
     one = np.ones_like(u)
-    left = np.stack([one, f_u, f_uu, t, log1p_exp(-c * u)])
+    left = np.stack([one, f_u, f_uu, t])
     right = np.stack([one, r, v, r * r, r * v, v * v, u, u * r, u * v, u * u])
-    return left @ right.T
+    products = left @ right.T
+    return np.append(products, _tail_sum(u, t, c))
 
 
 def _theta_grad(n, k, fu, fu_r, fu_v, lb, phi):
@@ -383,8 +429,10 @@ def _theta_derivs(x, p, floor):
     u (f_u + 1), d2l/du dlog c = f_u + 1 + u f_uu and d2l/dlog c2 is u
     times that.  log k enters as log k - (k+1) log(1 + z**-c).
     """
-    sums = _summed(lambda xb: _deriv_sums(xb, p.mu, p.sigma, p.c, p.k, p.eps, floor), x)
-    one, fu, fuu, t, (phi, *_) = sums.tolist()
+    *sums, phi = _summed(
+        lambda xb: _deriv_sums(xb, p.mu, p.sigma, p.c, p.k, p.eps, floor), x
+    ).tolist()
+    one, fu, fuu, t = (sums[i : i + 10] for i in range(0, 40, 10))
     n, k, kc = one[0], p.k, p.k * p.c
     # sums of d2l/du dlog c = f_u + 1 + f_uu u, times 1, r and v
     ub0, ub_r, ub_v = (fu[j] + one[j] + fuu[6 + j] for j in range(3))
@@ -657,9 +705,7 @@ def _comb_mu_update(data, p, full=True):
     """
 
     x, floor = data.values, data.floor
-
-    def f(m):
-        return _sorted_loglik(data, m, p.sigma, p.c, p.k, p.eps)
+    f, plateau = _mu_line(data, p.sigma, p.c, p.k, p.eps)
 
     def scan(nodes):
         if x.size > _BLOCK:
@@ -688,12 +734,15 @@ def _comb_mu_update(data, p, full=True):
     grid = grid.tolist()
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     lo, hi, m, val = _golden_max(f, lo, hi, floor)
-    m, val = _finish_mu(data, p, lo, hi, m, val)
+    m, val = _finish_mu(data, p, f, plateau, lo, hi, m, val)
     return (float(m), val) if val >= vals[i] else (grid[i], float(vals[i]))
 
 
-def _finish_mu(data, p, a, b, m, fm):
+def _finish_mu(data, p, f, plateau, a, b, m, fm):
     """The mu move's last stage on data: refine [a, b] around m, fm = f(m), to 1e-6 floor.
+
+    f and plateau are the move's objective in mu and its plateau terms,
+    _mu_line's at p.
 
     When no observation lies within the floor of the bracket, the
     objective is the exact log-likelihood there and smooth in mu, and
@@ -713,9 +762,6 @@ def _finish_mu(data, p, a, b, m, fm):
 
     x, floor = data.values, data.floor
 
-    def f(mu):
-        return _sorted_loglik(data, mu, p.sigma, p.c, p.k, p.eps)
-
     def slope(mu, floor=floor):
         return _summed(lambda xb: _mu_sums(xb, mu, p.sigma, p.c, p.k, p.eps, floor), x)
 
@@ -728,7 +774,7 @@ def _finish_mu(data, p, a, b, m, fm):
         fmu = f(mu)
         if fmu >= fm:
             return mu, fmu
-    breaks = _breakpoints(near, p, floor, tol / 1024.0)  # none without near points
+    breaks = _breakpoints(near, plateau, floor, tol / 1024.0)  # none without near points
     at, tried = [brk[0] for brk in breaks], set()
 
     def land(lo, hi, best):
@@ -745,7 +791,7 @@ def _finish_mu(data, p, a, b, m, fm):
     return _line_max(f, a, b, m, fm, tol, land)
 
 
-def _breakpoints(near, p, floor, step):
+def _breakpoints(near, plateau, floor, step):
     """The breaks in mu of the working objective from the sorted observations near, sorted.
 
     Each is (at, landing, tests): an observation's term is constant on
@@ -755,13 +801,11 @@ def _breakpoints(near, p, floor, step):
     step from the observation on its higher side, never on it: a point at
     mu counts on the positive side, which a reflection of the data swaps.
     Each test (mu, sign) asks sign * slope(mu) >= 0, so that the slopes
-    beside the landing point at it.
+    beside the landing point at it.  plateau holds the term's value on the
+    plateau with the observation on mu's positive side (mu < x_i) and on
+    its negative one, as _mu_line returns them.
     """
-    # the term's value on the plateau, on the positive side (mu < x_i) and the negative one
-    up, down = (
-        float(_log_density(0.0, p.c, p.k, math.log(floor / (p.sigma * (1.0 + s * p.eps)))))
-        for s in (1.0, -1.0)
-    )
+    up, down = plateau
     breaks = []
     for xi in dict.fromkeys(near):
         h = max(step, 16.0 * math.ulp(xi))  # some ulps of xi even on the finest floor
@@ -953,6 +997,16 @@ def _joined(p, ll, ends, floor):
     return None
 
 
+def _on_ray(p, floor):
+    """Whether p lies on a boundary ray of the working objective, where a stop is not convergence.
+
+    A kernel inside the resolution floor is on the sigma -> 0, k -> inf
+    ray; a shoulder, sigma (1 + |eps|) / c wide for c > 1, inside it on
+    the c -> inf, k -> 0 one.
+    """
+    return p.sigma * (1.0 + abs(p.eps)) <= floor * max(1.0, p.c)
+
+
 def _ascend(data, p, cfg, score_tol, ends=()):
     """One run of the fitter's loop from p.
 
@@ -988,10 +1042,7 @@ def _ascend(data, p, cfg, score_tol, ends=()):
         if _rel_change(p, p_prev) <= cfg.param_tol:
             norm = score_norm(p)
             if norm <= score_tol:
-                # a stop inside the resolution floor is on the sigma -> 0, k -> inf ray;
-                # a shoulder, sigma (1 + |eps|) / c wide for c > 1, inside it on the
-                # c -> inf, k -> 0 one
-                converged = p.sigma * (1.0 + abs(p.eps)) > floor * max(1.0, p.c)
+                converged = not _on_ray(p, floor)
                 if not converged:
                     _log.debug(
                         "cycle %d: stopped on a boundary ray, sigma %.3g, c %.3g",
@@ -1000,7 +1051,8 @@ def _ascend(data, p, cfg, score_tol, ends=()):
                 break
         if p == p_prev:
             # fixed point: every later iteration would repeat this one
-            _log.debug("cycle %d: fixed point at loglik %.17g", cycle, ll)
+            where = " on a boundary ray" if _on_ray(p, floor) else ""
+            _log.debug("cycle %d: fixed point%s at loglik %.17g", cycle, where, ll)
             break
         if p.sigma * (1.0 + abs(p.eps)) * x.size <= floor:
             # both side scales far inside the floor: the run drifts along the ray

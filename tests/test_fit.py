@@ -25,6 +25,7 @@ from esbiii.errors import (
     DegenerateDataError,
     DensityLimitWarning,
     DomainError,
+    NoBracketError,
     NonConvergenceError,
     SmallSampleError,
 )
@@ -409,6 +410,102 @@ class TestFloorOncePerFit:
         assert len(resolution_calls) == before + 1
 
 
+class TestLikelihoodSums:
+    """The blocked objective and the score's sum of log(1 + z**-c) against per-point references.
+
+    The kernels take the softplus sums from terms they already make (sums
+    of log z and |log z|, or t split by the sign of log z); these cases put
+    points where that can go wrong: beyond sigma (1 +- eps), where e**(c
+    log z) overflows for large c, and at c log z in (708, 710), where t is
+    subnormal or 0.
+    """
+
+    MU, SIGMA, EPS = 0.2, 1.3, 0.3
+
+    def _data(self, c, kind):
+        mu, s_pos, s_neg = self.MU, self.SIGMA * (1.0 + self.EPS), self.SIGMA * (1.0 - self.EPS)
+        if kind == "drawn":
+            return sample(Params(mu, self.SIGMA, c, 1.0 / c, self.EPS), 3000, seed=4)
+        if kind == "beyond":
+            z = np.geomspace(1.01, 1e6, 200)
+        else:  # c log z from 708.05 to 709.95
+            z = np.exp(np.linspace(708.05, 709.95, 100) / c)
+        x = np.concatenate([mu + s_pos * z, mu - s_neg * z])
+        if kind == "mixed":
+            x = np.concatenate([x, self._data(c, "beyond"), self._data(c, "drawn")[:50]])
+        return x
+
+    CASES = [
+        (c, kind, floor)
+        for c in (0.5, 2.0, 5.0, 20.0, 300.0, 1e6)
+        for kind in ("drawn", "beyond", "window", "mixed")
+        for floor in (0.0, 1e-3)
+        if not (c < 1.0 and kind in ("window", "mixed"))  # z = e**(1418) is not a float
+    ]
+
+    @pytest.mark.parametrize("c, kind, floor", CASES)
+    def test_sums_match_the_per_point_terms(self, c, kind, floor):
+        from esbiii.burr3 import _fold, _log_density
+        from esbiii.fit import _block_loglik, _deriv_sums, _grad_sums
+        from esbiii.special_math import log1p_exp
+
+        mu, sigma, eps, k = self.MU, self.SIGMA, self.EPS, 1.0 / c
+        x = self._data(c, kind)
+        u = np.log(_fold(x, mu, sigma, eps, floor)[2])
+        tail = log1p_exp(-c * u)
+        want = math.fsum(tail.tolist())
+        # a term below the smallest normal float comes from a subnormal t, or
+        # from t = 0 where e**(c log z) overflowed: it is exact only to 2**-1022
+        tiny = x.size * 2.0**-1022
+        for got in (
+            _grad_sums(x, mu, sigma, c, k, eps, floor)[5],
+            _deriv_sums(x, mu, sigma, c, k, eps, floor)[-1],
+        ):
+            assert abs(got - want) <= 1e-12 * want + tiny
+        ll = _log_density(math.log(c * k / (2.0 * sigma)), c, k, u)
+        # the summed form's own scale: the (c+1) log z and (k+1) softplus parts
+        scale = math.fsum((np.abs((c + 1.0) * u) + (k + 1.0) * tail).tolist())
+        assert abs(_block_loglik(x, mu, sigma, c, k, eps, floor) - math.fsum(ll.tolist())) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 20.0, 300.0, 1e3, 1e6])
+    @pytest.mark.parametrize("kind", ["drawn", "beyond", "mixed"])
+    def test_public_sums_stay_finite(self, c, kind):
+        # RuntimeWarnings are errors here: t = 0 must not reach a log that warns
+        from esbiii.burr3 import _fold
+        from esbiii.fit import _floored, _work_score
+        from esbiii.special_math import log1p_exp
+
+        if c < 1.0 and kind == "mixed":
+            kind = "beyond"
+        p = Params(self.MU, self.SIGMA, c, 1.0 / c, self.EPS)
+        x = self._data(c, kind)
+        data = Dataset(x)
+        assert math.isfinite(loglik(p, data))
+        assert np.all(np.isfinite(score(p, data)))
+        assert np.all(np.isfinite(_work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)))
+        assert np.all(np.isfinite(_work_score(x, p.mu, p.sigma, p.c, p.k, p.eps, 1e-3)))
+        # the k update is n over the sum of log(1 + z**-c) at the resolution floor,
+        # undefined where every term underflows to 0
+        z = _fold(x, p.mu, p.sigma, p.eps, _floored(x).floor)[2]
+        tail = math.fsum(log1p_exp(-c * np.log(z)).tolist())
+        if tail > 0.0:
+            assert solve_coordinate(p, "k", data) == pytest.approx(x.size / tail, rel=1e-12)
+        else:
+            with pytest.raises(NoBracketError):
+                solve_coordinate(p, "k", data)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 20.0, 300.0, 1e6])
+    def test_a_point_at_mu_keeps_the_tie_rule(self, c):
+        # c*k = 1: the tied point adds exactly its density limit's log, ck / (2 sigma)
+        p = Params(self.MU, self.SIGMA, c, 1.0 / c, self.EPS)
+        x = self._data(c, "drawn")[:200]
+        tied = loglik(p, Dataset([*x, p.mu]))
+        assert tied == math.log(p.c * p.k / (2.0 * p.sigma)) + loglik(p, Dataset(x))
+        assert loglik(replace(p, k=2.0 / c), Dataset([*x, p.mu])) == -math.inf
+        with pytest.raises(DomainError):
+            score(p, Dataset([*x, p.mu]))
+
+
 class TestGridKernels:
     """The mu scan evaluates a column of nodes per block; a node alone must give its bits."""
 
@@ -515,22 +612,34 @@ class TestMuMove:
 
     @pytest.fixture
     def objective_calls(self, monkeypatch):
-        """(x.size, shape of mu) of every _block_loglik call; a column of mu is a scan.
+        """(kernel, x.size, shape of mu) of every _block_loglik call; a column of mu is a scan.
 
-        The sorted sample's objective and the mu slope kernel's calls are
-        listed too, with shape () and the sample's size, so that the mu
-        move's work cannot hide in them.
+        Each call of a _mu_line line (every scalar objective pass of the
+        fitter, _sorted_loglik's too) and of the mu slope kernel is listed
+        as well, with shape () and the sample's size, so that the mu move's
+        work cannot hide in them.
         """
         import esbiii.fit
 
         calls = []
-        for name in ("_block_loglik", "_sorted_loglik", "_mu_sums"):
+        for name in ("_block_loglik", "_mu_sums"):
 
-            def counted(x, mu, *args, orig=getattr(esbiii.fit, name)):
-                calls.append((getattr(x, "values", x).size, np.shape(mu)))
+            def counted(x, mu, *args, name=name, orig=getattr(esbiii.fit, name)):
+                calls.append((name, x.size, np.shape(mu)))
                 return orig(x, mu, *args)
 
             monkeypatch.setattr(esbiii.fit, name, counted)
+
+        def line(data, *args, orig=esbiii.fit._mu_line):
+            f, plateau = orig(data, *args)
+
+            def counted(mu):
+                calls.append(("_mu_line", data.values.size, ()))
+                return f(mu)
+
+            return counted, plateau
+
+        monkeypatch.setattr(esbiii.fit, "_mu_line", line)
         return calls
 
     @pytest.fixture(scope="class")
@@ -550,10 +659,10 @@ class TestMuMove:
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
         q = replace(p, mu=p.mu + cells * cell)
         near = _comb_mu_update(data, q, full=False)
-        assert sum(shape[0] for _, shape in objective_calls if len(shape) == 2) == nodes
+        assert sum(shape[0] for _, _, shape in objective_calls if len(shape) == 2) == nodes
         objective_calls.clear()
         assert _comb_mu_update(data, q) == near
-        assert sum(shape[0] for _, shape in objective_calls if len(shape) == 2) == 41
+        assert sum(shape[0] for _, _, shape in objective_calls if len(shape) == 2) == 41
 
     @pytest.mark.parametrize(
         "truth, n, seed",
@@ -585,15 +694,19 @@ class TestMuMove:
     @staticmethod
     def _elements_of_a_fit(calls, truth):
         fit_ml(Dataset(sample(Params(0.0, 1.0, *truth), 2000, seed=1)))
-        return sum(size * math.prod(shape) for size, shape in calls)
+        return sum(size * math.prod(shape) for _, size, shape in calls)
 
     def test_objective_elements_of_a_boundary_fit(self, objective_calls):
-        # a count, not a wall time: 4,928,000 sorted-sample objective, 1,718,000
-        # scan and 614,000 mu slope elements; 6,696,000 objective and 580,000
-        # mu slope elements with every objective pass masked, 8,192,000 and
-        # 398,000 with Brent's method closing in on the breaks, 16,648,000
-        # objective elements with every mu scan at 41 nodes
-        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_260_000
+        # a count, not a wall time: 4,912,000 sorted-sample objective (_mu_line),
+        # 1,718,000 scan and 544,000 mu slope elements; 7,260,000 (4,928,000 +
+        # 1,718,000 + 614,000) with the softplus sums taken per point, 6,696,000
+        # objective and 580,000 mu slope elements with every objective pass
+        # masked, 8,192,000 and 398,000 with Brent's method closing in on the
+        # breaks, 16,648,000 objective elements with every mu scan at 41 nodes
+        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_174_000
+        # the line's probes are most of the work: a count that misses them is blind
+        line = sum(size for kernel, size, _ in objective_calls if kernel == "_mu_line")
+        assert 0.9 * 4_912_000 <= line <= 1.1 * 4_912_000
 
     @pytest.mark.parametrize(
         "truth, count",
@@ -654,9 +767,9 @@ class TestMuMove:
 
     @staticmethod
     def _objective(data, p):
-        from esbiii.fit import _sorted_loglik
+        from esbiii.fit import _mu_line
 
-        return lambda m: _sorted_loglik(data, m, p.sigma, p.c, p.k, p.eps)
+        return _mu_line(data, p.sigma, p.c, p.k, p.eps)
 
     @pytest.mark.parametrize("shift, d_eps", [(0.0, 0.0), (0.3, 0.02), (-0.6, -0.05)])
     def test_newton_finish_ends_at_a_local_maximum(self, monkeypatch, smooth_case, shift, d_eps):
@@ -670,11 +783,11 @@ class TestMuMove:
         x, data, p, cell = smooth_case
         floor = data.floor
         p = replace(p, eps=p.eps + d_eps)
-        f = self._objective(data, p)
+        f, plateau = self._objective(data, p)
         centre = p.mu + shift * cell
         a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
         assert np.min(np.abs(x - 0.5 * (a + b))) > 0.5 * (b - a) + floor  # a smooth bracket
-        mu, val = _finish_mu(data, p, a, b, m, fm)
+        mu, val = _finish_mu(data, p, f, plateau, a, b, m, fm)
         assert a <= mu <= b
         assert val == f(mu) >= fm
         step = 1e-6 * floor
@@ -694,9 +807,9 @@ class TestMuMove:
         floor = data.floor
         obs = float(x[np.argmin(np.abs(x - p.mu))])
         a, b = obs + 0.4 * floor, obs + 1.3 * floor
-        f = self._objective(data, p)
+        f, plateau = self._objective(data, p)
         m = a + 0.618 * (b - a)
-        assert _finish_mu(data, p, a, b, m, f(m)) == _line_max(f, a, b, m, f(m), 1e-6 * floor)
+        assert _finish_mu(data, p, f, plateau, a, b, m, f(m)) == _line_max(f, a, b, m, f(m), 1e-6 * floor)
 
     def test_break_that_a_probe_beats_keeps_brents_end(self, smooth_case):
         # at c*k = 1 the bracket around the eighth observation nearest mu
@@ -708,9 +821,9 @@ class TestMuMove:
         floor = data.floor
         p = replace(p, c=1.0 / p.k, eps=p.eps + 0.1)
         centre = float(x[np.argsort(np.abs(x - p.mu))[7]])
-        f = self._objective(data, p)
+        f, plateau = self._objective(data, p)
         a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
-        assert _finish_mu(data, p, a, b, m, fm) == _line_max(f, a, b, m, fm, 1e-6 * floor)
+        assert _finish_mu(data, p, f, plateau, a, b, m, fm) == _line_max(f, a, b, m, fm, 1e-6 * floor)
 
     def test_smooth_bracket_takes_newton_below_c_k_1(self, monkeypatch, smooth_case):
         import esbiii.fit
@@ -721,7 +834,7 @@ class TestMuMove:
         p = replace(p, c=0.9 / p.k)
         a, b = p.mu - 0.45 * floor, p.mu + 0.45 * floor
         assert np.min(np.abs(x - p.mu)) > 1.45 * floor  # no observation within the floor
-        f = self._objective(data, p)
+        f, plateau = self._objective(data, p)
         m = a + 0.618 * (b - a)
         brent = _line_max(f, a, b, m, f(m), 1e-6 * floor)
 
@@ -729,7 +842,7 @@ class TestMuMove:
             raise AssertionError("Brent's stage ran on a smooth bracket")
 
         monkeypatch.setattr(esbiii.fit, "_line_max", refuse)
-        mu, val = _finish_mu(data, p, a, b, m, f(m))
+        mu, val = _finish_mu(data, p, f, plateau, a, b, m, f(m))
         assert a <= mu <= b
         assert val == f(mu) >= brent[1]
 
@@ -757,11 +870,11 @@ class TestMuMove:
             p = replace(p, c=0.9 / p.k)
             if case.startswith("jump"):
                 centre = float(x[np.argmin(np.abs(x - p.mu))])
-        f = self._objective(data, p)
+        f, plateau = self._objective(data, p)
         a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
         assert np.min(np.abs(x - 0.5 * (a + b))) <= 0.5 * (b - a) + floor  # observations near
         objective_calls.clear()
-        mu, val = _finish_mu(data, p, a, b, m, fm)
+        mu, val = _finish_mu(data, p, f, plateau, a, b, m, fm)
         finish = len(objective_calls)
         objective_calls.clear()
         brent = _line_max(f, a, b, m, fm, 1e-6 * floor)
@@ -1047,9 +1160,10 @@ class TestBoundaryRay:
 
 class TestPowerLimitRay:
     def test_shoulder_inside_the_floor_is_not_convergence(self, caplog):
-        # the tolerances are met at c = 1.4e7, k = 3.7e-7 while the objective
-        # still rises along c -> inf with c k fixed; the kernel's shoulder,
-        # sigma (1 + |eps|) / c wide, is far inside the data's resolution
+        # the run stops at c = 1e7 to 1e9, where the objective's last digits
+        # are rounding, at the tolerances or at a fixed point, while the
+        # objective still rises along c -> inf with c k fixed; the kernel's
+        # shoulder, sigma (1 + |eps|) / c wide, is far inside the data's resolution
         from esbiii.fit import _data_resolution
 
         x = sample(Params(0.0, 1.0, 20.0, 0.2, 0.5), 20, seed=4)
