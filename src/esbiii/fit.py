@@ -12,22 +12,16 @@ fit_ml fits y = s (x - median) / scale, scale the power of two just above
 the interquartile range and s = -1 when the upper quartile gap is the
 smaller one, and maps the estimate back, so shift, scale and reflection
 equivariance hold by construction (_map_mu keeps mu on the same side of
-each observation).  Each start runs one loop.  An
-iteration makes three moves, each kept only if it raises the objective: a
-mu move (a 41-node scan, refined by golden section down to the floor's
-width, then by safeguarded Newton on the exact mu slope and curvature
-where no observation is within the floor of the bracket, elsewhere by
-Brent's method, which ends on a corner or jump of the floored objective
-once its bracket holds only that one and it is a maximum; after a
-start's first iteration the scan evaluates the five nodes around mu, and
-the other 36 only when the best of the five is on their edge), one
-trust-region Newton step in theta = (mu, log sigma, log c, log k, atanh
-eps) with the exact gradient and Hessian from one pass over the data and
-the exact subproblem solution (Nocedal & Wright, Numerical Optimization,
-2nd ed., ch. 4), and a pattern step along the iteration's displacement,
-which cuts along the curved ridge coupling mu and eps.  The Newton step
-holds mu while c*k < 1 or mu is pinned (below), and c while fixed_c is
-set.
+each observation).  Each start runs one loop.  An iteration makes three
+moves, each kept only if it raises the objective: a mu move (a 41-node
+scan, then golden section down to one corner or jump of the floored
+objective or none, ended on that break or by Newton), one trust-region
+Newton step in theta = (mu, log sigma, log c, log k, atanh eps) with the
+exact gradient and Hessian from one pass over the data and the exact
+subproblem solution (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+ch. 4), and a pattern step along the iteration's displacement, which cuts
+along the curved ridge coupling mu and eps.  The Newton step holds mu
+while c*k < 1 or mu is pinned (below), and c while fixed_c is set.
 
 When c*k < 1 the density diverges at every observation and the likelihood
 is unbounded in mu, so the fitter maximizes a working objective in which
@@ -45,8 +39,7 @@ points below mu, those within the floor of it and those with z < 1 are
 runs of indices that bisect finds, so each scalar objective pass of the
 fitter (_mu_line) is arithmetic on slices, with the z of _fold but none of
 its per-point selects; only the mu scan's columns of nodes use the masked
-kernel.  A mu move binds its objective in mu once, and its golden-section,
-Brent and Newton stages call that line.
+kernel.  A mu move binds its objective in mu once.
 
 An iteration depends on its starting point alone (a failed trust-region
 step is retried from the initial radius), so once one leaves every
@@ -616,14 +609,19 @@ def _tr_move(data, p, ll, free, radius):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, a, b, width):
-    """Golden-section search to a bracket below width; returns it and its best probe (x, f(x))."""
+def _golden_max(f, a, b):
+    """Golden-section search for a maximum of f on [a, b], a step per item.
+
+    Yields each bracket and its best probe, (a, b, x, f(x)), from [a, b]
+    on, for up to 90 steps.  A step's probe is made only when its item is
+    asked for, so the caller's stop tests set how far the search narrows,
+    and a later loop over it goes on where one stopped.
+    """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(90):
-        if b - a < width:
-            break
+        yield (a, b, x1, f1) if f1 >= f2 else (a, b, x2, f2)
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -632,55 +630,7 @@ def _golden_max(f, a, b, width):
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = f(x2)
-    return (a, b, x1, f1) if f1 >= f2 else (a, b, x2, f2)
-
-
-def _line_max(f, a, b, x, fx, tol, land=None):
-    """Brent's maximization of f on [a, b] from x inside it, fx = f(x).
-
-    Golden-section steps, or parabolic ones where they fall inside the
-    bracket and shrink (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 5), until the bracket is within 4 tol.
-    Before each step land(a, b, best), when given, sees the bracket and
-    the best value so far; a probe it returns ends the search.  Returns
-    the best probe (x, f(x)).
-    """
-    fx = -fx  # minimize -f
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    for _ in range(200):
-        if abs(x - 0.5 * (a + b)) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        end = land and land(a, b, -fx)
-        if end:
-            return end
-        golden = True
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d, golden = d, p / q, False
-                if min(x + d - a, b - x - d) < 2.0 * tol:
-                    d = math.copysign(tol, 0.5 * (a + b) - x)
-        if golden:
-            e = a - x if x >= 0.5 * (a + b) else b - x
-            d = (1.0 - _GOLDEN) * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = -f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v in (x, w):
-                v, fv = u, fu
-    return x, -fx
+    yield (a, b, x1, f1) if f1 >= f2 else (a, b, x2, f2)
 
 
 _NEAR = slice(18, 23)  # the centre node of the mu move's 41 and two on each side
@@ -693,17 +643,12 @@ def _comb_mu_update(data, p, full=True):
     evaluated, and the other 36 only when the best of those five is on
     the window's edge.  A node's value does not depend on which nodes
     share its block, so the move gives the full scan's result whenever
-    the full scan's best node is one of the inner three.  The two cells
-    around the best node are searched by golden section down to the
-    floor's width, then to a millionth of it by _finish_mu: Newton on the
-    exact mu slope where the bracket is smooth (no observation within its
-    floor), elsewhere Brent's method, which stops on a break of the
-    objective that is a maximum.  The best node stays when that ends
-    lower.  Returns (mu, objective).  The scan and golden section
-    maximize the objective directly because the mu score has a pole at
-    every observation when c*k < 1.
+    the full scan's best node is one of the inner three.  _finish_mu then
+    searches the two cells around the best node, and the best node stays
+    when that ends lower.  Returns (mu, objective).  The scan and golden
+    section maximize the objective directly because the mu score has a
+    pole at every observation when c*k < 1.
     """
-
     x, floor = data.values, data.floor
     f, plateau = _mu_line(data, p.sigma, p.c, p.k, p.eps)
 
@@ -733,62 +678,54 @@ def _comb_mu_update(data, p, full=True):
             i = int(np.argmax(vals))
     grid = grid.tolist()
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    lo, hi, m, val = _golden_max(f, lo, hi, floor)
-    m, val = _finish_mu(data, p, f, plateau, lo, hi, m, val)
+    m, val = _finish_mu(data, p, f, plateau, lo, hi)
     return (float(m), val) if val >= vals[i] else (grid[i], float(vals[i]))
 
 
-def _finish_mu(data, p, f, plateau, a, b, m, fm):
-    """The mu move's last stage on data: refine [a, b] around m, fm = f(m), to 1e-6 floor.
+def _finish_mu(data, p, f, plateau, a, b):
+    """The mu move's search of [a, b] on data; returns its end (mu, f(mu)).
 
-    f and plateau are the move's objective in mu and its plateau terms,
-    _mu_line's at p.
-
-    When no observation lies within the floor of the bracket, the
-    objective is the exact log-likelihood there and smooth in mu, and
-    safeguarded Newton on its exact slope and curvature (_mu_sums) finishes
-    the search (Brent 1973, ch. 4): a step that leaves the bracket, or
-    curvature >= 0, bisects on the slope's sign.  Its end is kept when its
-    objective is at least fm; otherwise Brent's method (_line_max) runs.
-
-    Near observations the objective is smooth only between its breaks
-    (_breakpoints), and Brent's method runs until its bracket holds one.
-    The search ends on that break when its value is at least that of
-    every probe so far and the working slopes beside it (_mu_sums with the
-    floor) point at it; Brent's method would only close in on it at a
-    linear rate (Brent 1973, ch. 5).  Otherwise Brent's method goes on.
-    Returns the best probe (mu, f(mu)).
+    f and plateau are _mu_line's at p.  The objective is smooth in mu but
+    at its breaks (_breakpoints).  Golden section narrows [a, b] until it
+    is narrower than the floor and holds at most one; they are listed for
+    the first bracket narrower than the floor and counted by bisect.  One
+    break ends the search on its landing when that is at least golden
+    section's best and the working slopes beside it (_mu_sums with the
+    floor) point at it; else golden section goes on until the bracket
+    holds none.  There safeguarded Newton on the exact working slope and
+    curvature ends it to a millionth of the floor (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): a step that leaves the
+    bracket, or curvature >= 0, bisects on the slope's sign.  The end is
+    golden section's best probe where Newton's is lower.
     """
+    floor, tol = data.floor, 1e-6 * data.floor
 
-    x, floor = data.values, data.floor
+    def slope(mu):
+        return _summed(lambda xb: _mu_sums(xb, mu, p.sigma, p.c, p.k, p.eps, floor), data.values)
 
-    def slope(mu, floor=floor):
-        return _summed(lambda xb: _mu_sums(xb, mu, p.sigma, p.c, p.k, p.eps, floor), x)
+    def held(a, b):
+        return bisect.bisect_right(at, b) - bisect.bisect_left(at, a)
 
-    tol = 1e-6 * floor
-    i, j = _within(data.ys, 0.5 * (a + b), 0.5 * (b - a) + floor)
-    near = data.ys[i:j]
-    if not near:
-        # no point comes within the floor, so floor 0 gives the working terms
-        mu = _newton_max(lambda mu: slope(mu, 0.0), a, b, m, tol)
+    search, breaks, at = _golden_max(f, a, b), None, []
+    for a, b, m, fm in search:
+        if b - a < floor:
+            if breaks is None:
+                i, j = _within(data.ys, 0.5 * (a + b), 0.5 * (b - a) + floor)
+                breaks = _breakpoints(data.ys[i:j], plateau, floor, tol / 1024.0)
+                at = [brk[0] for brk in breaks]
+            if held(a, b) <= 1:
+                break
+    if held(a, b) == 1:
+        _, mu, tests = breaks[bisect.bisect_left(at, a)]
         fmu = f(mu)
-        if fmu >= fm:
+        if fmu >= fm and all(sign * slope(v)[0] >= 0.0 for v, sign in tests):
             return mu, fmu
-    breaks = _breakpoints(near, plateau, floor, tol / 1024.0)  # none without near points
-    at, tried = [brk[0] for brk in breaks], set()
-
-    def land(lo, hi, best):
-        i = bisect.bisect_left(at, lo)
-        if bisect.bisect_right(at, hi) - i != 1 or i in tried:
-            return None
-        tried.add(i)  # its value and slopes are fixed and best only rises, so it fails again
-        _, mu, tests = breaks[i]
-        fmu = f(mu)
-        if fmu >= best and all(sign * slope(v)[0] >= 0.0 for v, sign in tests):
-            return mu, fmu
-        return None
-
-    return _line_max(f, a, b, m, fm, tol, land)
+        for a, b, m, fm in search:
+            if not held(a, b):
+                break
+    mu = _newton_max(slope, a, b, m, tol)
+    fmu = f(mu)
+    return (mu, fmu) if fmu >= fm else (m, fm)
 
 
 def _breakpoints(near, plateau, floor, step):
@@ -803,18 +740,19 @@ def _breakpoints(near, plateau, floor, step):
     Each test (mu, sign) asks sign * slope(mu) >= 0, so that the slopes
     beside the landing point at it.  plateau holds the term's value on the
     plateau with the observation on mu's positive side (mu < x_i) and on
-    its negative one, as _mu_line returns them.
+    its negative one, as _mu_line returns them.  Breaks of two
+    observations at one place are one, a jump's where there is one.
     """
     up, down = plateau
-    breaks = []
-    for xi in dict.fromkeys(near):
+    breaks = {}
+    for xi in near:
         h = max(step, 16.0 * math.ulp(xi))  # some ulps of xi even on the finest floor
         for corner in (xi - floor, xi + floor):
-            breaks.append((corner, corner, ((corner - h, 1.0), (corner + h, -1.0))))
+            breaks.setdefault(corner, (corner, ((corner - h, 1.0), (corner + h, -1.0))))
         if up != down:
             s = 1.0 if up > down else -1.0
-            breaks.append((xi, xi - s * h, ((xi - s * h, s),)))
-    return sorted(breaks, key=lambda brk: brk[0])
+            breaks[xi] = (xi - s * h, ((xi - s * h, s),))
+    return [(at, *brk) for at, brk in sorted(breaks.items())]
 
 
 def _newton_max(slope_curv, a, b, m, tol):

@@ -25,11 +25,12 @@ peak x0 beyond which the influence of a point decays back to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .burr3 import _fold, _log_density, _maybe_scalar, _pick, _u_terms
+from .burr3 import _maybe_scalar, _pick, _u_terms
+from .distribution import logpdf
 from .errors import DomainError
 from .fit import COORD_NAMES
 from .special_math import log1p_exp
@@ -186,9 +187,8 @@ class RhoConditions:
 
 
 def _rho(p, x):
-    # -log f for the standardized family, valid at x != 0
-    w = _fold(x, 0.0, 1.0, p.eps)[2]
-    return -_log_density(math.log(0.5 * p.c * p.k), p.c, p.k, math.log(w))
+    # -log f of the standard form, valid at x != 0
+    return -logpdf(replace(p, mu=0.0, sigma=1.0), x)
 
 
 def rho_conditions(p):

@@ -697,16 +697,12 @@ class TestMuMove:
         return sum(size * math.prod(shape) for _, size, shape in calls)
 
     def test_objective_elements_of_a_boundary_fit(self, objective_calls):
-        # a count, not a wall time: 4,912,000 sorted-sample objective (_mu_line),
-        # 1,718,000 scan and 544,000 mu slope elements; 7,260,000 (4,928,000 +
-        # 1,718,000 + 614,000) with the softplus sums taken per point, 6,696,000
-        # objective and 580,000 mu slope elements with every objective pass
-        # masked, 8,192,000 and 398,000 with Brent's method closing in on the
-        # breaks, 16,648,000 objective elements with every mu scan at 41 nodes
-        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_174_000
+        # a count, not a wall time: 4,780,000 sorted-sample objective (_mu_line),
+        # 1,718,000 scan and 580,000 mu slope elements
+        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_078_000
         # the line's probes are most of the work: a count that misses them is blind
         line = sum(size for kernel, size, _ in objective_calls if kernel == "_mu_line")
-        assert 0.9 * 4_912_000 <= line <= 1.1 * 4_912_000
+        assert 0.9 * 4_780_000 <= line <= 1.1 * 4_780_000
 
     @pytest.mark.parametrize(
         "truth, count",
@@ -765,87 +761,6 @@ class TestMuMove:
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
         return x, data, p, cell
 
-    @staticmethod
-    def _objective(data, p):
-        from esbiii.fit import _mu_line
-
-        return _mu_line(data, p.sigma, p.c, p.k, p.eps)
-
-    @pytest.mark.parametrize("shift, d_eps", [(0.0, 0.0), (0.3, 0.02), (-0.6, -0.05)])
-    def test_newton_finish_ends_at_a_local_maximum(self, monkeypatch, smooth_case, shift, d_eps):
-        import esbiii.fit
-        from esbiii.fit import _finish_mu, _golden_max, _mu_sums
-
-        def refuse(*args):
-            raise AssertionError("Brent's stage ran on a smooth bracket")
-
-        monkeypatch.setattr(esbiii.fit, "_line_max", refuse)
-        x, data, p, cell = smooth_case
-        floor = data.floor
-        p = replace(p, eps=p.eps + d_eps)
-        f, plateau = self._objective(data, p)
-        centre = p.mu + shift * cell
-        a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
-        assert np.min(np.abs(x - 0.5 * (a + b))) > 0.5 * (b - a) + floor  # a smooth bracket
-        mu, val = _finish_mu(data, p, f, plateau, a, b, m, fm)
-        assert a <= mu <= b
-        assert val == f(mu) >= fm
-        step = 1e-6 * floor
-        # no gain beyond the objective's rounding, and the exact slope
-        # changes sign across the probes
-        assert max(f(mu - step), f(mu + step)) <= val + 1e-13 * abs(val)
-        slope = [_mu_sums(x, v, p.sigma, p.c, p.k, p.eps, 0.0)[0] for v in (mu - step, mu + step)]
-        assert slope[0] >= 0.0 >= slope[1]
-
-    def test_floor_edge_bracket_keeps_brents_end(self, smooth_case):
-        # at c*k near 2.14 the corner at the edge of an observation's floor
-        # is convex, so never a maximum, though its value beats every probe
-        # made before Brent's bracket holds it alone
-        from esbiii.fit import _finish_mu, _line_max
-
-        x, data, p, cell = smooth_case
-        floor = data.floor
-        obs = float(x[np.argmin(np.abs(x - p.mu))])
-        a, b = obs + 0.4 * floor, obs + 1.3 * floor
-        f, plateau = self._objective(data, p)
-        m = a + 0.618 * (b - a)
-        assert _finish_mu(data, p, f, plateau, a, b, m, f(m)) == _line_max(f, a, b, m, f(m), 1e-6 * floor)
-
-    def test_break_that_a_probe_beats_keeps_brents_end(self, smooth_case):
-        # at c*k = 1 the bracket around the eighth observation nearest mu
-        # holds a jump whose slopes point at it, but a probe already beats
-        # its value: landing there would end 0.14 below Brent's end
-        from esbiii.fit import _finish_mu, _golden_max, _line_max
-
-        x, data, p, cell = smooth_case
-        floor = data.floor
-        p = replace(p, c=1.0 / p.k, eps=p.eps + 0.1)
-        centre = float(x[np.argsort(np.abs(x - p.mu))[7]])
-        f, plateau = self._objective(data, p)
-        a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
-        assert _finish_mu(data, p, f, plateau, a, b, m, fm) == _line_max(f, a, b, m, fm, 1e-6 * floor)
-
-    def test_smooth_bracket_takes_newton_below_c_k_1(self, monkeypatch, smooth_case):
-        import esbiii.fit
-        from esbiii.fit import _finish_mu, _line_max
-
-        x, data, p, cell = smooth_case
-        floor = data.floor
-        p = replace(p, c=0.9 / p.k)
-        a, b = p.mu - 0.45 * floor, p.mu + 0.45 * floor
-        assert np.min(np.abs(x - p.mu)) > 1.45 * floor  # no observation within the floor
-        f, plateau = self._objective(data, p)
-        m = a + 0.618 * (b - a)
-        brent = _line_max(f, a, b, m, f(m), 1e-6 * floor)
-
-        def refuse(*args):
-            raise AssertionError("Brent's stage ran on a smooth bracket")
-
-        monkeypatch.setattr(esbiii.fit, "_line_max", refuse)
-        mu, val = _finish_mu(data, p, f, plateau, a, b, m, f(m))
-        assert a <= mu <= b
-        assert val == f(mu) >= brent[1]
-
     @pytest.fixture(scope="class")
     def spiked_case(self):
         """Spiked data (fitted c*k near 0.52), drawn and sorted, the fitted point and scan cell."""
@@ -857,12 +772,150 @@ class TestMuMove:
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
         return x, data, p, cell
 
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        """Each bracket golden section yields, (a, b, x, f(x)): the last is the finish's final one."""
+        import esbiii.fit
+
+        seen = []
+
+        def recorded(f, a, b, orig=esbiii.fit._golden_max):
+            for item in orig(f, a, b):
+                seen.append(item)
+                yield item
+
+        monkeypatch.setattr(esbiii.fit, "_golden_max", recorded)
+        return seen
+
+    @pytest.fixture
+    def newton_calls(self, monkeypatch):
+        import esbiii.fit
+
+        calls = []
+
+        def counted(*args, orig=esbiii.fit._newton_max):
+            calls.append(args[1:3])
+            return orig(*args)
+
+        monkeypatch.setattr(esbiii.fit, "_newton_max", counted)
+        return calls
+
+    @staticmethod
+    def _finish(data, p, a, b):
+        """The move's objective in mu at p, and _finish_mu's end on [a, b]."""
+        from esbiii.fit import _finish_mu, _mu_line
+
+        f, plateau = _mu_line(data, p.sigma, p.c, p.k, p.eps)
+        return f, plateau, _finish_mu(data, p, f, plateau, a, b)
+
+    @staticmethod
+    def _breaks(data, plateau, a, b):
+        """(at, landing, tests) of each break in [a, b], as the finish lists them."""
+        from esbiii.fit import _breakpoints, _within
+
+        i, j = _within(data.ys, 0.5 * (a + b), 0.5 * (b - a) + data.floor)
+        breaks = _breakpoints(data.ys[i:j], plateau, data.floor, 1e-6 * data.floor / 1024.0)
+        return [brk for brk in breaks if a <= brk[0] <= b]
+
+    def _oracle(self, data, f, plateau, bracket):
+        """The best of f on 4001 points over the final bracket and at each of its breaks' landings.
+
+        The grid stops the finish's tolerance, a millionth of the floor,
+        short of each end: Newton stops that close to a maximum on the
+        bracket's edge.
+        """
+        a, b = bracket[:2]
+        tol = 1e-6 * data.floor
+        grid = [f(v) for v in np.linspace(a + tol, b - tol, 4001)]
+        return max(grid + [f(mu) for _, mu, _ in self._breaks(data, plateau, a, b)])
+
+    @staticmethod
+    def _slope(data, p, mu):
+        from esbiii.fit import _mu_sums
+
+        return _mu_sums(data.values, mu, p.sigma, p.c, p.k, p.eps, data.floor)[0]
+
+    def _first_single_break(self, data, plateau, brackets):
+        """The first bracket narrower than the floor that holds at most one break, and its breaks."""
+        for a, b, m, fm in brackets:
+            if b - a < data.floor:
+                held = self._breaks(data, plateau, a, b)
+                if len(held) <= 1:
+                    return (a, b, m, fm), held
+        raise AssertionError("no bracket narrower than the floor holds at most one break")
+
+    @pytest.mark.parametrize("shift, d_eps", [(0.0, 0.0), (0.3, 0.02), (-0.6, -0.05)])
+    def test_newton_finish_ends_at_a_local_maximum(
+        self, brackets, newton_calls, smooth_case, shift, d_eps
+    ):
+        x, data, p, cell = smooth_case
+        floor = data.floor
+        p = replace(p, eps=p.eps + d_eps)
+        centre = p.mu + shift * cell
+        f, plateau, (mu, val) = self._finish(data, p, centre - cell, centre + cell)
+        a, b, _, fm = brackets[-1]
+        assert b - a < floor
+        assert np.min(np.abs(x - 0.5 * (a + b))) > 0.5 * (b - a) + floor  # a smooth bracket
+        assert newton_calls == [(a, b)]
+        assert a <= mu <= b
+        assert val == f(mu) >= fm
+        assert val >= self._oracle(data, f, plateau, brackets[-1]) * (1.0 + 1e-13)
+        step = 1e-6 * floor
+        # no gain beyond the objective's rounding, and the exact slope
+        # changes sign across the probes
+        assert max(f(mu - step), f(mu + step)) <= val + 1e-13 * abs(val)
+        assert self._slope(data, p, mu - step) >= 0.0 >= self._slope(data, p, mu + step)
+
+    def test_floor_edge_corner_that_beats_every_probe_is_not_landed_on(self, brackets, smooth_case):
+        # at c*k near 2.14 the corner at the edge of an observation's floor
+        # is convex, so never a maximum, though its value beats every probe
+        # made before golden section's bracket holds it alone
+        x, data, p, cell = smooth_case
+        floor = data.floor
+        obs = float(x[np.argmin(np.abs(x - p.mu))])
+        f, plateau, (mu, val) = self._finish(data, p, obs + 0.4 * floor, obs + 1.3 * floor)
+        (_, _, _, fm), held = self._first_single_break(data, plateau, brackets)
+        assert [brk[0] for brk in held] == [obs + floor]
+        corner = f(obs + floor)
+        assert corner >= fm
+        assert self._slope(data, p, obs + floor + 1e-3 * floor) > 0.0  # the slope beyond points away
+        assert not self._breaks(data, plateau, *brackets[-1][:2])  # it went on to a smooth bracket
+        assert abs(mu - (obs + floor)) > 0.1 * floor
+        assert val == f(mu) > corner
+        assert val >= self._oracle(data, f, plateau, brackets[-1]) * (1.0 + 1e-13)
+
+    def test_break_that_a_probe_beats_is_not_landed_on(self, brackets, smooth_case):
+        # at c*k = 1 the first bracket around the eighth observation nearest
+        # mu to hold one break holds a jump whose slopes point at it, but a
+        # probe already beats its value: landing there would end 0.14 below
+        x, data, p, cell = smooth_case
+        p = replace(p, c=1.0 / p.k, eps=p.eps + 0.1)
+        centre = float(x[np.argsort(np.abs(x - p.mu))[7]])
+        f, plateau, (mu, val) = self._finish(data, p, centre - cell, centre + cell)
+        (_, _, _, fm), held = self._first_single_break(data, plateau, brackets)
+        [(at, landing, tests)] = held
+        assert at in x  # a jump
+        assert all(sign * self._slope(data, p, v) >= 0.0 for v, sign in tests)
+        assert f(landing) < fm
+        assert mu != landing
+        assert val == f(mu) >= f(landing) + 0.1
+        assert val >= self._oracle(data, f, plateau, brackets[-1]) * (1.0 + 1e-13)
+
+    def test_smooth_bracket_takes_newton_below_c_k_1(self, brackets, newton_calls, smooth_case):
+        x, data, p, cell = smooth_case
+        floor = data.floor
+        p = replace(p, c=0.9 / p.k)
+        a, b = p.mu - 0.45 * floor, p.mu + 0.45 * floor
+        assert np.min(np.abs(x - p.mu)) > 1.45 * floor  # no observation within the floor
+        f, plateau, (mu, val) = self._finish(data, p, a, b)
+        assert newton_calls == [(a, b)] and len(brackets) == 1  # no golden step, Newton at once
+        assert a <= mu <= b
+        assert val == f(mu) >= self._oracle(data, f, plateau, brackets[-1]) * (1.0 + 1e-13)
+
     @pytest.mark.parametrize("case", ["jump, c*k = 0.9", "corner, c*k = 0.9", "spiked"])
     def test_break_landing_beats_brent_at_half_the_calls(
-        self, objective_calls, smooth_case, spiked_case, case
+        self, objective_calls, brackets, newton_calls, smooth_case, spiked_case, case
     ):
-        from esbiii.fit import _finish_mu, _golden_max, _line_max
-
         x, data, p, cell = spiked_case if case == "spiked" else smooth_case
         floor = data.floor
         centre = p.mu
@@ -870,21 +923,37 @@ class TestMuMove:
             p = replace(p, c=0.9 / p.k)
             if case.startswith("jump"):
                 centre = float(x[np.argmin(np.abs(x - p.mu))])
-        f, plateau = self._objective(data, p)
-        a, b, m, fm = _golden_max(f, centre - cell, centre + cell, floor)
-        assert np.min(np.abs(x - 0.5 * (a + b))) <= 0.5 * (b - a) + floor  # observations near
-        objective_calls.clear()
-        mu, val = _finish_mu(data, p, f, plateau, a, b, m, fm)
-        finish = len(objective_calls)
-        objective_calls.clear()
-        brent = _line_max(f, a, b, m, fm, 1e-6 * floor)
-        assert 2 * finish <= len(objective_calls)
-        assert val == f(mu) >= brent[1]
+        f, plateau, (mu, val) = self._finish(data, p, centre - cell, centre + cell)
+        # golden section's two first probes and one a step, then the landing
+        # and its one or two slope tests alone
+        kernels = [kernel for kernel, _, _ in objective_calls]
+        assert kernels.count("_mu_line") == len(brackets) + 2
+        assert kernels.count("_mu_sums") <= 2
+        assert newton_calls == []
+        [(_, landing, _)] = self._breaks(data, plateau, *brackets[-1][:2])
+        assert mu == landing
+        assert val == f(mu) >= self._oracle(data, f, plateau, brackets[-1]) * (1.0 + 1e-13)
         gap = np.abs(x - mu)
         # on a break: beside an observation's jump, or on a corner of its floor
         assert min(gap.min(), np.abs(gap - floor).min()) <= 1e-9 * floor
         assert (gap.min() <= 1e-9 * floor) == case.startswith(("jump", "spiked"))
         assert gap.min() > math.ulp(mu)  # never on an observation or 1 ulp beside it
+
+    @pytest.mark.parametrize("case", ["smooth", "one break", "many breaks"])
+    def test_move_from_the_scan_cells_beats_the_oracle(self, brackets, smooth_case, spiked_case, case):
+        # the two scan cells around the fitted mu: smooth on the bimodal fit,
+        # one corner once narrower than the floor at c*k = 0.9, and a
+        # hundred observations on the spiked fit
+        x, data, p, cell = spiked_case if case == "many breaks" else smooth_case
+        if case == "one break":
+            p = replace(p, c=0.9 / p.k)
+        f, plateau, (mu, val) = self._finish(data, p, p.mu - cell, p.mu + cell)
+        if case == "many breaks":
+            assert len(self._breaks(data, plateau, *brackets[0][:2])) > 100
+        else:
+            held = self._first_single_break(data, plateau, brackets)[1]
+            assert len(held) == {"smooth": 0, "one break": 1}[case]
+        assert val == f(mu) >= self._oracle(data, f, plateau, brackets[-1]) * (1.0 + 1e-13)
 
 
 class TestBenchmarkFitCheck:
