@@ -1,13 +1,26 @@
-"""The text of "%.17g" % v for every float64 of a table, vectorized with numpy.
+"""The "%.17g" <-> float64 mapping of the CLI's text files, vectorized with numpy.
 
-CPython prints 17 significant digits through dtoa's bignum path, about
-0.5 us a value; a CSV table of the CLI holds up to 3e5 of them.  Here each
-value with 1e-280 <= |v| <= 1e280 is scaled to an integer of 17 digits by a
-double-double product, rounded to nearest, and laid out as %g does; the
+Writing.  CPython prints 17 significant digits through dtoa's bignum path,
+about 0.5 us a value; a CSV table of the CLI holds up to 3e5 of them.  Here
+each value with 1e-280 <= |v| <= 1e280 is scaled to an integer of 17 digits
+by a double-double product, rounded to nearest, and laid out as %g does; the
 few it cannot round with certainty (a fraction near 1/2, maybe a tie), and
-zeros, nan, inf and values outside that range, go through "%.17g" % v.
-The scheme is the fast path with exact fallback of Loitsch, "Printing
+zeros, nan, inf and values outside that range, go through "%.17g" % v.  The
+scheme is the fast path with exact fallback of Loitsch, "Printing
 floating-point numbers quickly and accurately with integers" (PLDI 2010).
+Each value becomes a 32-byte cell of four words with NUL gaps, its digits
+made eight at a time by multiply-shift steps on uint64 words; one
+bytes.translate drops the gaps.
+
+Reading.  line_values parses every line that is an ASCII decimal
+[+-]digits[.digits][(e|E)[+-]digits] of at most 32 bytes and 19
+significant digits: the digits as one uint64 mantissa M, eight at a time,
+and M * 10**e rounded to nearest through the same double-double powers of
+ten (Clinger, "How to read floating point numbers accurately", PLDI 1990;
+the word-parallel digits of Lemire, "Number parsing at a gigabyte per
+second", Software: Practice and Experience 51, 2021).  It marks as not
+parsed every other line, and every value it cannot round with certainty,
+for the caller to give to float().
 """
 
 from __future__ import annotations
@@ -15,30 +28,38 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .burr3 import _BLOCK
 
-# Decimal exponents the fast path meets, its +-1 corrections included.
+# Decimal exponents the writer meets, its +-1 corrections included.
 _EMIN, _EMAX = -281, 281
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+_U = np.uint64
+# Bytes of a cell of the writer, and of a line the reader parses.
+_WIDTH = 32
+# Bytes of the file the reader finds line ends in first.
+_STEP = 1 << 17
+_ONES = 0x0101010101010101
 
-# A cell is 13 little-endian uint32 words of ASCII with NUL gaps, which the
-# final compaction drops: the sign and "0.000" prefix (2 words, whose last
-# byte holds the 17th integer digit), the integer digits right-aligned (4),
-# the point (1), the fraction digits left-aligned (4), then the exponent
-# and the separator (2).
-_WORDS = 13
+
+def _bytes(byte):
+    """byte repeated in each byte of a word."""
+    return _U(byte * _ONES)
 
 
-def _word(text):
-    return int.from_bytes(text.ljust(4, b"\0"), "little")
+def _span(lo, hi):
+    """Bytes lo to hi - 1 of 32, as four little-endian words."""
+    mask = ((1 << 8 * max(hi - lo, 0)) - 1) << 8 * lo
+    return [mask >> 64 * w & (2**64 - 1) for w in range(4)]
 
 
 @functools.cache
 def _tables():
     """Read-only lookup tables, built on first use (a few ms)."""
     # 10**p = hi + lo, lo being hi's rounding error rounded; row i holds
-    # p = 16 - e for the exponent e = _EMIN + i
+    # p = 16 - e for the exponent e = _EMIN + i, as (hi, hh, hl, lo) with
+    # hi = hh + hl split for Dekker's product
     pow10 = []
     for p in range(16 - _EMIN, 15 - _EMAX, -1):
         if p >= 0:
@@ -49,61 +70,105 @@ def _tables():
             hi = 1 / q
             num, den = hi.as_integer_ratio()
             lo = (den - num * q) / (q * den)
-        pow10.append((hi, lo))
-    hi, lo = np.array(pow10).T
-    hh = _SPLIT * hi
-    hh -= hh - hi
-    # each 4-digit chunk as 4 ASCII bytes: in full, without its leading
-    # zeros, and without its trailing zeros
-    c = np.arange(10000)
-    digits = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
-    lead = np.cumsum(digits, axis=1) > 0
-    trail = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0
-    chunks = np.stack([digits + 48, (digits + 48) * lead, (digits + 48) * trail])
-    # per exponent, the layout of %g: fixed notation for -4 <= e < 17
+        hh = _SPLIT * hi
+        hh -= hh - hi
+        pow10.append((hi, hh, hi - hh, lo))
+    # per exponent, the layout of %g: fixed notation for -4 <= e < 17, with
+    # q digits before the point (none for "0.000..."), else exponential
     es = range(_EMIN, _EMAX + 1)
-    int_digits = np.array([e + 1 if 0 <= e < 17 else 1 for e in es], np.int64)
-    prefix = [b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"") for e in es]
+    q = [e + 1 if 0 <= e < 17 else 0 if e < 0 <= e + 4 else 1 for e in es]
+    prefix = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in es]
     suffix = [b"" if -4 <= e < 17 else b"e%+03d" % e for e in es]
+    # a cell's first three words hold the sign (byte 0), the "0.000" prefix
+    # (bytes 1-5) and the digits with their point (bytes 6-23).  Per q and
+    # the index z of the last nonzero of the 17 digits, which bytes come
+    # from the digits at bytes 6-22 (those before the point), which from
+    # the digits at bytes 7-23 (after it, trailing zeros dropped), and the
+    # point, if any digit follows it
+    before, after, point = [], [], []
+    for qq in range(18):
+        for z in range(17):
+            dot = 0x2E2E2E2E2E2E2E2E if 1 <= qq <= z else 0
+            before.append(_span(0, 6 + qq)[:3])
+            after.append(_span(7 + qq, 8 + z)[:3])
+            point.append([w & dot for w in _span(6 + qq, 7 + qq)[:3]])
+    # the reader: a byte's class among the non-digits (1 sign, 2 point,
+    # 3 exponent mark, 4 other) times 5**j for the j-th non-digit of a line
+    cls = np.full(256, 4, np.intp)
+    cls[[ord("+"), ord("-")]] = 1
+    cls[ord(".")] = 2
+    cls[[ord("e"), ord("E")]] = 3
+    cls[ord("0") : ord("9") + 1] = 0
+    # the grammar's shapes, by code sum(class_j * 5**j): 1 valid, 2 valid
+    # with an exponent sign; a leading sign; which non-digit is the point,
+    # and which the exponent mark (4 for none)
+    shapes = np.zeros((5**4, 4), np.intp)
+    for sign in ("", "s"):
+        for p in ("", "p"):
+            for e in ("", "e", "es"):
+                pattern = sign + p + e
+                code = sum(" spe".index(ch) * 5**j for j, ch in enumerate(pattern))
+                shapes[code] = (1 + (e == "es"), sign == "s", pattern.find("p") % 5, pattern.find("e") % 5)
     tables = {
-        "hi": hi,
-        "hh": hh,
-        "hl": hi - hh,
-        "lo": lo,
-        "chunks": chunks.astype(np.uint8).view("<u4").ravel(),
-        "div": 10 ** (17 - int_digits),
-        "mul": 10 ** (int_digits - 1),
-        "point": np.array([0 if -4 <= e < 0 else ord(".") for e in es], np.uint32),
-        "pre0": np.array([_word(s[:4]) for s in prefix], np.uint32),
-        "pre1": np.array([_word(s[4:]) for s in prefix], np.uint32),
-        "suf0": np.array([_word(s[:4]) for s in suffix], np.uint32),
-        "suf1": np.array([_word(s[4:]) for s in suffix], np.uint32),
+        "pow10": np.array(pow10).T.copy(),
+        "q17": np.array(q) * 17,
+        "pre": np.array([int.from_bytes(s.rjust(6, b"\0"), "little") for s in prefix], _U),
+        "suf": np.array([int.from_bytes(s, "little") for s in suffix], _U),
+        "before": np.array(before, _U).T.copy(),
+        "after": np.array(after, _U).T.copy(),
+        "point": np.array(point, _U).T.copy(),
+        "cls": np.array([cls * 5**j for j in range(4)]),
+        "shapes": shapes,
+        "last": np.array([_span(_WIDTH - k, _WIDTH) for k in range(_WIDTH + 1)], _U),
+        "sign": np.array([1.0, -1.0]),
     }
     for table in tables.values():
         table.flags.writeable = False
     return tables
 
 
-def _scaled(a, i, t):
-    """a * 10**(16 - e) for e = _EMIN + i: its integer part and fraction.
+def _product(a, i, t):
+    """a * 10**(16 - e) for e = _EMIN + i as s + r, and the power's hi.
 
-    A Dekker product with 10**(16 - e) as a double-double; the sum is off
-    by less than 1e-14 on values near 1e17.
+    A Dekker product with 10**(16 - e) as a double-double: s is a * hi
+    rounded, r the rest, off by less than 2**-100 of the product.
     """
-    hi, hh, hl, lo = (t[k].take(i) for k in ("hi", "hh", "hl", "lo"))
+    hi, hh, hl, lo = (part.take(i) for part in t["pow10"])
     ah = _SPLIT * a
     ah -= ah - a
     al = a - ah
     s = a * hi
-    r = ((ah * hh - s) + ah * hl + al * hh) + al * hl + a * lo
+    return s, ((ah * hh - s) + ah * hl + al * hh) + al * hl + a * lo, hi
+
+
+def _scaled(a, i, t):
+    """a * 10**(16 - e) for e = _EMIN + i: its integer part and fraction.
+
+    The sum is off by less than 1e-14 on values near 1e17.
+    """
+    s, r, _ = _product(a, i, t)
     whole = np.floor(r)
     r -= whole
     return s.astype(np.int64) + whole.astype(np.int64), r
 
 
-def _fill(cells, v, seps, t):
-    """Writes the cells of the values v, one column of cells each."""
-    n = v.size
+def _digits8(x):
+    """The 8 decimal digits of each x < 10**8 as bytes 0-9, the first in the lowest byte."""
+    hi = (x * _U(109951163)) >> _U(40)  # x // 10000
+    x = hi | ((x - hi * _U(10000)) << _U(32))
+    hi = ((x * _U(10486)) >> _U(20)) & _U(0x0000007F0000007F)  # // 100 per half
+    x = ((x - hi * _U(100)) << _U(16)) + hi
+    hi = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)  # // 10 per quarter
+    return hi + ((x - hi * _U(10)) << _U(8))
+
+
+def _nonzero(x):
+    """One bit for each nonzero byte 0-9 of each word, the lowest byte's the lowest bit."""
+    return (((x + _bytes(0x7F)) & _bytes(0x80)) * _U(0x0002040810204081)) >> _U(56)
+
+
+def _fill(rows, v, seps, t):
+    """Writes the cells of the values v, one row of four words each."""
     a = np.abs(v)
     fast = (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0
@@ -120,37 +185,36 @@ def _fill(cells, v, seps, t):
     top = big == 10**17
     big[top] = 10**16
     i += top
-    d = t["div"].take(i)
-    whole = big // d
-    part = (big - whole * d) * t["mul"].take(i)
-    chunks = t["chunks"]
-    # the integer digits, right-aligned without leading zeros
-    r = whole
-    for k in (5, 4, 3, 2):
-        q = r // 10000
-        chunks.take((r - q * 10000) + 10000 * (q == 0), out=cells[k])
-        r = q
-    np.bitwise_or(t["pre0"].take(i), (v < 0) * np.uint32(ord("-")), out=cells[0])
-    np.bitwise_or(t["pre1"].take(i), ((r > 0) * (r + 48)).astype(np.uint32) << 24, out=cells[1])
-    np.multiply(t["point"].take(i), part != 0, out=cells[6])
-    # the fraction digits, left-aligned without trailing zeros
-    r = part
-    zero = np.ones(n, bool)
-    for k in (10, 9, 8):
-        q = r // 10000
-        c = r - q * 10000
-        chunks.take(c + 20000 * zero, out=cells[k])
-        zero &= c == 0
-        r = q
-    chunks.take(r + 20000 * zero, out=cells[7])
-    t["suf0"].take(i, out=cells[11])
-    np.bitwise_or(t["suf1"].take(i), seps, out=cells[12])
+    # the 17 digits: the first, then two words of eight
+    big = big.view(_U)
+    first = big // _U(10**16)
+    big -= first * _U(10**16)
+    hi = big // _U(10**8)
+    lo = _digits8(big - hi * _U(10**8))
+    hi = _digits8(hi)
+    # the last nonzero digit: one bit a nonzero digit, then the highest bit
+    z = _U(1) | _nonzero(hi) << _U(1) | _nonzero(lo) << _U(9)
+    c = t["q17"].take(i) + np.frexp(z.astype(np.float64))[1] - 1
+    hi += _bytes(0x30)
+    lo += _bytes(0x30)
+    first += _U(0x30)
+    # two copies of the digits, at bytes 7-23 (first, hi, lo as they stand)
+    # and one byte earlier: a cell takes those before the point from the
+    # earlier copy, then the point, then the rest from the later copy
+    before, after, point = t["before"], t["after"], t["point"]
+    cell = (((first << _U(48)) | (hi << _U(56))) & before[0].take(c)) | ((first << _U(56)) & after[0].take(c))
+    cell |= point[0].take(c)
+    np.bitwise_or(cell, t["pre"].take(i) | (v < 0).astype(_U) * _U(ord("-")), out=rows[:, 0])
+    cell = (((hi >> _U(8)) | (lo << _U(56))) & before[1].take(c)) | (hi & after[1].take(c))
+    np.bitwise_or(cell, point[1].take(c), out=rows[:, 1])
+    cell = ((lo >> _U(8)) & before[2].take(c)) | (lo & after[2].take(c))
+    np.bitwise_or(cell, point[2].take(c), out=rows[:, 2])
+    np.bitwise_or(t["suf"].take(i), seps, out=rows[:, 3])
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = np.array(["%.17g" % x for x in v[slow].tolist()], dtype="S24")
-        cells[:, slow] = 0
-        cells[:6, slow] = text.view("<u4").reshape(-1, 6).T
-        cells[12, slow] = seps[slow]
+        rows[slow, :3] = text.view(_U).reshape(-1, 3)
+        rows[slow, 3] = seps[slow]
 
 
 def table_text(columns):
@@ -163,17 +227,202 @@ def table_text(columns):
     ncols = len(columns)
     values = np.column_stack(columns).ravel()
     step = max(1, _BLOCK // ncols) * ncols
-    seps = np.array([ord(",")] * (ncols - 1) + [ord("\n")], np.uint32) << 24
+    seps = np.array([ord(",")] * (ncols - 1) + [ord("\n")], _U) << _U(56)
     seps = np.tile(seps, step // ncols)
-    cells = np.empty((_WORDS, step), "<u4")
-    rows = np.empty((step, _WORDS), "<u4")
+    rows = np.empty((step, 4), _U)
     t = _tables()
     out = []
     for start in range(0, values.size, step):
         v = values[start : start + step]
         n = v.size
-        _fill(cells[:, :n], v, seps[:n], t)
-        np.copyto(rows[:n], cells[:, :n].T)
-        text = rows[:n].view(np.uint8).ravel()
-        out.append(text[text != 0].tobytes())
+        _fill(rows[:n], v, seps[:n], t)
+        out.append(rows[:n].tobytes().translate(None, b"\0"))
     return b"".join(out)
+
+
+def _line_bounds(raw, lo, hi):
+    """Where each line of raw[lo:hi] starts and stops in raw, its end excluded.
+
+    Lines end as universal newlines end them: at \\n, \\r\\n or a lone \\r.
+    """
+    b = np.frombuffer(raw, np.uint8, hi - lo, lo)
+    lf = b == 10
+    crs = raw.find(b"\r", lo, hi) >= 0
+    if crs:
+        # a \r ends its line, unless a \n follows to end it
+        cr = b == 13
+        end = lf.copy()
+        end[:-1] |= cr[:-1] & ~lf[1:]
+        end[-1:] |= cr[-1:]
+        lf = end
+    ends = np.flatnonzero(lf)
+    starts = np.empty(ends.size + 1, np.intp)
+    starts[0] = 0
+    np.add(ends, 1, out=starts[1:])
+    stops = np.append(ends, b.size)
+    if crs:
+        stops[:-1] -= (b[ends] == 10) & (b[ends - 1] == 13) & (ends > 0)
+    return starts + lo, stops + lo
+
+
+def _parse8(x):
+    """The number each word's 8 digit bytes 0-9 spell, the first in the lowest byte."""
+    x = (x * _U(10 * 256 + 1)) >> _U(8)
+    x = ((x & _U(0x00FF00FF00FF00FF)) * _U(100 * 2**16 + 1)) >> _U(16)
+    return ((x & _U(0x0000FFFF0000FFFF)) * _U(10000 * 2**32 + 1)) >> _U(32)
+
+
+def _low(x):
+    """Which bit is the lowest set bit of each word below 2**_WIDTH, _WIDTH for none."""
+    x = x | _U(1 << _WIDTH)
+    return ((x & (_U(0) - x)).astype(np.float64).view(np.int64) >> 52) - 1023
+
+
+def _shape(flat, base, first, nondigit, t):
+    """The grammar's parts of some lines, from their non-digits, at most four.
+
+    Returns whether each line is in the grammar, whether it has a leading
+    sign and whether that is "-", the slots of its point and exponent mark
+    (_WIDTH for none), and whether it has an exponent sign and whether that
+    is "-".
+    """
+    n = nondigit.size
+    slot = np.full((5, n), _WIDTH, np.intp)  # row 4 for a part a line lacks
+    chars = np.zeros((4, n), np.uint8)
+    code = np.zeros(n, np.intp)
+    rest = nondigit.copy()
+    for j in range(4):
+        slot[j] = _low(rest)
+        chars[j] = flat.take(base + np.minimum(slot[j], _WIDTH - 1))
+        code += t["cls"][j].take(chars[j])
+        rest &= rest - _U(1)
+    valid, lead, pj, ej = t["shapes"].take(code, axis=0).T
+    ar = np.arange(n)
+    mark = slot.ravel().take(ej * n + ar)
+    # non-digits may touch only as a mark and its sign
+    pairs = nondigit & (nondigit >> _U(1))
+    good = (rest == 0) & (valid > 0) & ((slot[0] == first) == lead) & (nondigit >> _U(_WIDTH - 1) == 0)
+    good &= pairs == ((valid == 2).astype(_U) << mark.astype(_U))
+    xneg = (valid == 2) & (chars.ravel().take(np.minimum(ej + 1, 3) * n + ar) == ord("-"))
+    return good, lead > 0, chars[0] == ord("-"), slot.ravel().take(pj * n + ar), mark, valid == 2, xneg
+
+
+def _read_block(windows, stops, size, t):
+    """The values of some lines, and whether each is certain: see line_values.
+
+    Window stops[j] holds the bytes that end line j, of size[j] bytes.
+    """
+    n = stops.size
+    fits = (size > 0) & (size <= _WIDTH)
+    # each line right-aligned in a 32-byte window, the bytes before it from
+    # the lines before; slot k is byte k
+    g = windows[stops]
+    flat = g.reshape(-1)
+    base = np.arange(0, n * _WIDTH, _WIDTH)
+    size = np.minimum(size, _WIDTH)
+    first = np.minimum(_WIDTH - size, _WIDTH - 1)
+    # the non-digit slots of each line, one bit a slot: a byte's high bit
+    # set when it is not 0-9, eight bits gathered from each word
+    x = g.view(_U).reshape(-1) ^ _bytes(0x30)
+    x = (((x & _bytes(0x7F)) + _bytes(0x76)) | x) & _bytes(0x80)
+    x = ((x * _U(0x0002040810204081)) >> _U(56)).astype(np.uint8).view(np.uint32).ravel()
+    nondigit = ((_U(1) << size.astype(_U)) - _U(1)) << (_WIDTH - size).astype(_U) & x
+    # most lines: a sign or digit, then digits with at most one point
+    c0 = flat.take(base + first)
+    lead = (c0 == ord("-")) | (c0 == ord("+"))
+    neg = c0 == ord("-")
+    rest = nondigit ^ (lead.astype(_U) << first.astype(_U))
+    point = _low(rest)
+    haspt = rest != 0
+    good = fits & ((rest & (rest - _U(1))) == 0) & (point > first + lead)
+    good &= ~haspt | ((flat.take(base + np.minimum(point, _WIDTH - 1)) == ord(".")) & (point < _WIDTH - 1))
+    mark = np.full(n, _WIDTH)
+    exp10 = np.zeros(n, np.intp)
+    other = np.flatnonzero(fits & ~good)
+    if other.size:
+        ok, lead[other], neg[other], pt, mk, xsign, xneg = _shape(flat, base[other], first[other], nondigit[other], t)
+        good[other] = ok
+        point[other] = pt
+        haspt[other] = pt < _WIDTH
+        mark[other] = np.minimum(mk, _WIDTH)
+        sel = ok & (mk < _WIDTH)
+        rows = other[sel]
+        if rows.size:
+            # the exponent: its digits, at most three, end the line
+            digits = _WIDTH - 1 - mk[sel] - xsign[sel]
+            keep = t["last"][:, 3].take(digits * (digits <= 3))
+            ex = (g.view(_U)[rows, 3] & keep ^ _bytes(0x30) & keep) >> _U(40)
+            ex = ((ex & _U(0xFF)) * _U(100) + (ex >> _U(8) & _U(0xFF)) * _U(10) + (ex >> _U(16))).astype(np.intp)
+            exp10[rows] = np.where(xneg[sel], -ex, ex)
+            # the mantissa right-aligned in its own window
+            good[rows] &= digits <= 3
+            g = g.copy()
+            g[rows] = windows[stops[rows] - _WIDTH + mark[rows]]
+    frac = np.where(haspt, mark - point - 1, 0)
+    ndigits = mark - first - lead - haspt
+    good &= ndigits > 0
+    exp10 -= frac
+    # the mantissa's digits as bytes 0-9, the point taken out by moving the
+    # bytes before it one slot on, then eight digits a word
+    x = g.view(_U).reshape(-1) ^ _bytes(0x30)
+    moved = x << _U(8)
+    moved[1:] |= x[:-1] >> _U(56)
+    keep = t["last"].take(np.where(haspt, frac, ndigits), axis=0, mode="clip").reshape(-1)
+    x = (moved & (t["last"].take(ndigits, axis=0, mode="clip").reshape(-1) ^ keep)) | (x & keep)
+    x = _parse8(x).reshape(n, 4)
+    good &= (x[:, 0] == 0) & (x[:, 1] < 1000)
+    m = (x[:, 1] * _U(10**8) + x[:, 2]) * _U(10**8) + x[:, 3]
+    # m * 10**exp10 rounded to nearest: mh * 10**exp10 as a double-double,
+    # plus (m - mh) * 10**exp10; the sum is off by less than 2**-100 of it
+    good &= (exp10 >= -265) & (exp10 <= 288)
+    exp10[~good] = 0
+    m[~good] = 0
+    mh = m.astype(np.float64)
+    s, r, hi = _product(mh, 16 - _EMIN - exp10, t)
+    r += (m - mh.astype(_U)).view(np.int64).astype(np.float64) * hi
+    v = s + r
+    err = r - (v - s)
+    # v is the nearest double when both ends of the error bound round to it
+    bound = v * 2.0**-99
+    good &= (v + (err + bound) == v) & (v + (err - bound) == v)
+    v *= t["sign"].take(neg & lead)
+    return v, good
+
+
+def line_values(raw):
+    """The float of each line of raw, bytes, where a strict grammar gives it exactly.
+
+    Lines end as universal newlines end them.  Yields, for each block of
+    at most _BLOCK // 2 lines (128 KiB of windows), (starts, stops, values,
+    parsed): line j of the block is raw[starts[j]:stops[j]], and where
+    parsed[j] values[j] is float() of it, bit for bit.  A line is parsed
+    when it is an ASCII [+-]digits[.digits][(e|E)[+-]digits] of at most 32
+    bytes, 19 significant digits and 3 exponent digits, its digits make
+    m * 10**e with -265 <= e <= 288, and the double-double product rounds
+    it with certainty.  Blank lines, comments, whitespace, delimiters, nan
+    and the rest are not parsed.  Line ends are found a step at a time,
+    the first of about _STEP bytes and each next one 8 times longer, so a
+    caller that stops after the first blocks pays for little more.
+    """
+    t = _tables()
+    lo, step = 0, _STEP
+    while True:
+        # a step ends after a \n, so that no \r\n straddles two
+        hi = raw.find(b"\n", lo + step) + 1 or len(raw)
+        starts, stops = _line_bounds(raw, lo, hi)
+        if hi < len(raw):
+            # the empty line after the step's last \n starts the next step
+            starts, stops = starts[:-1], stops[:-1]
+        # window k holds the 32 bytes of raw before byte lo + k, NULs before
+        # its start
+        if lo:
+            b = np.frombuffer(raw, np.uint8, hi - lo + _WIDTH, lo - _WIDTH)
+        else:
+            b = np.frombuffer(bytes(_WIDTH) + raw[:hi], np.uint8)
+        windows = sliding_window_view(b, _WIDTH)
+        for k in range(0, starts.size, _BLOCK // 2):
+            j = slice(k, k + _BLOCK // 2)
+            yield (starts[j], stops[j], *_read_block(windows, stops[j] - lo, stops[j] - starts[j], t))
+        if hi == len(raw):
+            return
+        lo, step = hi, 8 * step

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._g17 import table_text
+from ._g17 import line_values, table_text
 from .burr3 import RNG_ALGORITHM
 from .distribution import Params, cdf, pdf, quantile, sample
 from .errors import DegenerateDataError, EsbError, NonConvergenceError, ParseError
@@ -175,20 +175,65 @@ def _emit_json(args, doc):
 # -- input parsing ----------------------------------------------------------
 
 
+def _parsed_values(data):
+    """The file's values when _g17 parses every line that is not empty or a '#' comment, else None.
+
+    Stops at the first block of lines that holds any other line, so that a
+    file outside _g17's grammar costs one block of its pass.
+    """
+    if not data or not data.isascii():
+        return None
+    b = np.frombuffer(data, np.uint8)
+    out = [np.empty(0)]
+    for starts, stops, values, parsed in line_values(data):
+        skip = (stops == starts) | (b.take(starts, mode="clip") == ord("#"))
+        if not (parsed | skip).all():
+            return None
+        out.append(values[parsed])
+    values = np.concatenate(out)
+    return values if values.size else None
+
+
+def _text_lines(data):
+    """The file's lines as text without their ends, split as universal newlines split them.
+
+    Raises ParseError naming the line of the first byte that is not UTF-8.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def read_values(path, column=None):
     """Read one float per line, or one delimited column (1-based index).
 
     Blank lines and lines starting with '#' are skipped.  Comma or
-    whitespace delimiters are both accepted.  Raises ParseError with the
-    offending line number.
+    whitespace delimiters are both accepted.  Lines end as universal
+    newlines end them.  Raises ParseError with the offending line number,
+    for a file that is not UTF-8 too.
+
+    Two whole-file passes come first when column is None or 1: _g17's,
+    which takes a file of numbers in its strict decimal grammar (the CLI's
+    own "%.17g" text among them), then one cast of every data line.  A line
+    neither can take (a delimiter, a bad token, a non-finite value) sends
+    the file to the per-line loop below, the only source of errors.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        # the lines file iteration gives, newlines translated, without their ends
-        lines = fh.read().split("\n")
+    if column in (None, 1):
+        values = _parsed_values(data)
+        if values is not None:
+            return values
+    lines = _text_lines(data)
     if column in (None, 1):
         # one cast of the data lines, which numpy parses by float(); float()
         # refuses a delimited line, so a delimiter, a bad token or a

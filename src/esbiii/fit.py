@@ -761,7 +761,8 @@ def _newton_max(slope_curv, a, b, m, tol):
     Each slope's sign moves one end of the bracket to m.  The Newton step
     is taken when the curvature is negative and it lands inside the
     bracket, else the bracket is bisected.  Stops once a step is within
-    tol, or at a zero slope, and returns the last iterate.
+    tol, or rounds to no step at all, or at a zero slope, and returns the
+    last iterate.
     """
     for _ in range(64):
         g, h = slope_curv(m)
@@ -772,6 +773,8 @@ def _newton_max(slope_curv, a, b, m, tol):
         else:
             break
         nxt = m - g / h if h < 0.0 else math.nan  # nan fails the bracket test
+        if nxt == m:
+            break
         if not a < nxt < b:
             nxt = 0.5 * (a + b)
         if abs(nxt - m) <= tol:

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import esbiii
 from esbiii import Params, cdf, sample
-from esbiii.cli import main, read_values
+from esbiii.cli import EXIT_BAD_INPUT, main, read_values
 from esbiii.errors import ParseError
 
 from importlib import resources
@@ -137,6 +139,134 @@ class TestReadValues:
                 read_values(str(f))
             return
         assert read_values(str(f)).tobytes() == np.array(want).tobytes()
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_bytes(b"1.5\r\n# one\r2.5\n\xff\xfe2.5\n")
+        for column in (None, 2):
+            with pytest.raises(ParseError, match="not UTF-8") as err:
+                read_values(str(f), column)
+            assert err.value.line == 4
+        f.write_bytes(b"1.5\n\xff\xfe2.5\n")
+        with pytest.raises(ParseError, match="line 2: not UTF-8") as err:
+            read_values(str(f))
+        assert err.value.line == 2
+        capsys.readouterr()
+        out = str(tmp_path / "out.json")
+        assert main(["fit", "--input", str(f), "--out", out]) == EXIT_BAD_INPUT
+        assert main(["gof", "--input", str(f), "--params", "0,1,5,0.2,0.4", "--out", out]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.count("esbiii: error: line 2: not UTF-8") == 2
+
+    def test_table_text_reads_back_bit_for_bit(self, tmp_path):
+        from esbiii._g17 import table_text
+        from test_g17 import NAMED
+
+        bits = np.random.default_rng(20240613).integers(0, 2**64, 1_000_002, dtype=np.uint64)
+        values = bits.view(np.float64)
+        f = tmp_path / "d.txt"
+        for col in (values[np.isfinite(values)], np.array([x for x in NAMED if math.isfinite(x)])):
+            f.write_bytes(b"# values\n" + table_text([col]))
+            assert read_values(str(f)).tobytes() == col.tobytes()
+
+    # each token on a line of its own: float()'s value bit for bit, or the
+    # line loop's error
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "9007199254740993",  # 2**53 + 1, a tie
+            "1e23",  # a tie as well
+            "2.4703282292062327e-324",  # just below the subnormal tie: 0
+            "2.4703282292062328e-324",  # just above it: 5e-324
+            "2.4703282292062326e-324",
+            "4.9406564584124654e-324",
+            "2.2250738585072014e-308",
+            "1.7976931348623157e308",
+            "1.7976931348623158e308",  # finite: rounds down to the largest double
+            "1.7976931348623159e308",  # non-finite
+            "12345678901234567890",  # 20 and 30 significant digits
+            "123456789012345678901234567890",
+            "1234567890123456789",
+            "0.1234567890123456789",
+            "00000000000000000000001.5",  # leading zeros
+            "0.000000000000000000000000000001",
+            "-0",
+            "-0.0e0",
+            "+.5",
+            "5.",
+            ".5",
+            "1E5",
+            "1e+05",
+            "1e-0005",
+            "-1.2345678901234567e-100",
+            "0.30000000000000004",
+            "1e-265",
+            "1e-266",
+            "1e288",
+            "1e289",
+            "7e22",
+            "-",
+            "1e",
+            "1e+",
+            "1.2.3",
+            "--1",
+            "1_000",
+            "nan",
+            "١٢",
+            "1" * 40,
+        ],
+    )
+    def test_token_matches_float(self, tmp_path, token):
+        f = tmp_path / "d.txt"
+        f.write_bytes(b"1\n" + token.encode() + b"\n2\n")
+        try:
+            v = float(token)
+        except ValueError:
+            v = None
+        if v is not None and math.isfinite(v):
+            assert read_values(str(f)).tobytes() == np.array([1.0, v, 2.0]).tobytes()
+            return
+        message = "not a number" if v is None else "non-finite value"
+        with pytest.raises(ParseError, match=re.escape(f"{message}: {token!r}")) as err:
+            read_values(str(f))
+        assert err.value.line == 2
+
+    def test_line_of_a_lone_carriage_return(self, tmp_path):
+        # \r ends a line, so "\r" alone is an empty line and "\r\r\n" two
+        f = tmp_path / "d.txt"
+        f.write_bytes(b"1.5\n\r-2.5\r\r\n3.25e-7\r")
+        assert read_values(str(f)).tobytes() == np.array([1.5, -2.5, 3.25e-7]).tobytes()
+        f.write_bytes(b"1.5\n\r\rx\n")
+        with pytest.raises(ParseError, match="not a number: 'x'") as err:
+            read_values(str(f))
+        assert err.value.line == 4
+
+    def test_line_ends_across_steps(self, tmp_path):
+        # line ends are found a step at a time, the second 8 times the first:
+        # mixed ends over three steps split as universal newlines split them
+        from esbiii import _g17
+        from esbiii.cli import _text_lines
+
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(80_000)
+        ends = rng.choice(["\n", "\r\n", "\r"], values.size)
+        data = "".join("%.17g%s" % (v, e) for v, e in zip(values, ends)).encode()
+        assert len(data) > 9 * _g17._STEP
+        blocks = list(_g17.line_values(data))
+        lines = [data[a:b].decode() for starts, stops, _, _ in blocks for a, b in zip(starts.tolist(), stops.tolist())]
+        assert lines == _text_lines(data)
+        assert np.concatenate([v[p] for _, _, v, p in blocks]).tobytes() == values.tobytes()
+        f = tmp_path / "d.txt"
+        f.write_bytes(data)
+        assert read_values(str(f)).tobytes() == values.tobytes()
+        # a line outside the grammar deep in the file: the cast reads it
+        f.write_bytes(data + b"  2.5\t\n")
+        assert read_values(str(f)).tobytes() == np.append(values, 2.5).tobytes()
+
+    def test_lowest_bit_index(self):
+        from esbiii._g17 import _low
+
+        words = [0] + [1 << k for k in range(32)] + [2**32 - 1, 0b101000, 2**31 + 2**30]
+        assert _low(np.array(words, np.uint64)).tolist() == [32] + list(range(32)) + [0, 3, 30]
 
 
 class TestCsvText:
