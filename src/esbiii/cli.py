@@ -215,8 +215,9 @@ def read_values(path, column=None):
 
     Blank lines and lines starting with '#' are skipped.  Comma or
     whitespace delimiters are both accepted.  Lines end as universal
-    newlines end them.  Raises ParseError with the offending line number,
-    for a file that is not UTF-8 too.
+    newlines end them.  One UTF-8 byte-order mark at the start of the file
+    is dropped; anywhere else it is part of its line.  Raises ParseError
+    with the offending line number, for a file that is not UTF-8 too.
 
     Two whole-file passes come first when column is None or 1: _g17's,
     which takes a file of numbers in its strict decimal grammar (the CLI's
@@ -229,6 +230,7 @@ def read_values(path, column=None):
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
+    data = data.removeprefix(b"\xef\xbb\xbf")
     if column in (None, 1):
         values = _parsed_values(data)
         if values is not None:

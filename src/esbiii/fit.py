@@ -13,9 +13,10 @@ the interquartile range and s = -1 when the upper quartile gap is the
 smaller one, and maps the estimate back, so shift, scale and reflection
 equivariance hold by construction (_map_mu keeps mu on the same side of
 each observation).  Each start runs one loop.  An iteration makes three
-moves, each kept only if it raises the objective: a mu move (a 41-node
-scan, then golden section down to one corner or jump of the floored
-objective or none, ended on that break or by Newton), one trust-region
+moves, each kept only if it raises the objective: a mu move (a scan of
+five grid nodes, widened to all 41 when the best is an edge node, then
+golden section down to one corner or jump of the floored objective or
+none, ended on that break or by Newton), one trust-region
 Newton step in theta = (mu, log sigma, log c, log k, atanh eps) with the
 exact gradient and Hessian from one pass over the data and the exact
 subproblem solution (Nocedal & Wright, Numerical Optimization, 2nd ed.,
@@ -636,18 +637,18 @@ def _golden_max(f, a, b):
 _NEAR = slice(18, 23)  # the centre node of the mu move's 41 and two on each side
 
 
-def _comb_mu_update(data, p, full=True):
+def _comb_mu_update(data, p):
     """The mu move on data: the best of 41 nodes over mu +- max(4 sigma (1 + |eps|), data.spread).
 
-    With full false only the centre node and two on each side are
-    evaluated, and the other 36 only when the best of those five is on
-    the window's edge.  A node's value does not depend on which nodes
-    share its block, so the move gives the full scan's result whenever
-    the full scan's best node is one of the inner three.  _finish_mu then
-    searches the two cells around the best node, and the best node stays
-    when that ends lower.  Returns (mu, objective).  The scan and golden
-    section maximize the objective directly because the mu score has a
-    pole at every observation when c*k < 1.
+    Only the centre node and two on each side are evaluated, and the
+    other 36 only when the best of those five is on the window's edge.  A
+    node's value does not depend on which nodes share its block, so the
+    move gives the 41-node scan's result whenever that scan's best node
+    is one of the inner three.  _finish_mu then searches the two cells
+    around the best node, and the best node stays when that ends lower.
+    Returns (mu, objective).  The scan and golden section maximize the
+    objective directly because the mu score has a pole at every
+    observation when c*k < 1.
     """
     x, floor = data.values, data.floor
     f, plateau = _mu_line(data, p.sigma, p.c, p.k, p.eps)
@@ -665,17 +666,13 @@ def _comb_mu_update(data, p, full=True):
 
     width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread)
     grid = p.mu + np.linspace(-width, width, 41)
-    if full:
-        vals = scan(grid)
+    vals = np.empty(grid.size)
+    vals[_NEAR] = scan(grid[_NEAR])
+    i = _NEAR.start + int(np.argmax(vals[_NEAR]))
+    if i in (_NEAR.start, _NEAR.stop - 1):
+        for rest in (slice(_NEAR.start), slice(_NEAR.stop, None)):
+            vals[rest] = scan(grid[rest])
         i = int(np.argmax(vals))
-    else:
-        vals = np.empty(grid.size)
-        vals[_NEAR] = scan(grid[_NEAR])
-        i = _NEAR.start + int(np.argmax(vals[_NEAR]))
-        if i in (_NEAR.start, _NEAR.stop - 1):
-            for rest in (slice(_NEAR.start), slice(_NEAR.stop, None)):
-                vals[rest] = scan(grid[rest])
-            i = int(np.argmax(vals))
     grid = grid.tolist()
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     m, val = _finish_mu(data, p, f, plateau, lo, hi)
@@ -972,8 +969,7 @@ def _ascend(data, p, cfg, score_tol, ends=()):
     converged, radius, cycle = False, _RADIUS0, 0
     for cycle in range(1, cfg.max_cycles + 1):
         p_prev, norm = p, None
-        # a start's first mu move scans all 41 nodes; later ones seldom leave mu's window
-        mu, mu_ll = _comb_mu_update(data, p, full=cycle == 1)
+        mu, mu_ll = _comb_mu_update(data, p)
         if mu_ll > ll:
             p, ll = replace(p, mu=mu), mu_ll
         hold_mu = p.c * p.k < 1.0 or _mu_pinned(data, p.mu)

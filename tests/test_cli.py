@@ -103,6 +103,9 @@ class TestReadValues:
             (b"1e400\n", None, ("non-finite value: '1e400'", 1)),
             (b"1\n0x10\n", None, ("not a number: '0x10'", 2)),
             (b"1\n2\x00\n", None, ("not a number: '2\\\\x00'", 2)),
+            (b"\xef\xbb\xbf1.5\n2.5\n", None, [1.5, 2.5]),
+            (b"\xef\xbb\xbf", None, ("no data rows", None)),
+            (b"1.5\n\xef\xbb\xbf2.5\n", None, ("not a number: '\\\\ufeff2.5'", 2)),
         ],
     )
     def test_whole_file_matches_the_line_loop(self, tmp_path, raw, column, want):
@@ -156,6 +159,23 @@ class TestReadValues:
         assert main(["fit", "--input", str(f), "--out", out]) == EXIT_BAD_INPUT
         assert main(["gof", "--input", str(f), "--params", "0,1,5,0.2,0.4", "--out", out]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err.count("esbiii: error: line 2: not UTF-8") == 2
+
+    def test_file_that_starts_with_a_byte_order_mark_fits(self, tmp_path):
+        # spreadsheet and Windows editors write one; the fit sees the same data
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        _write_sample(plain, n=200, seed=1)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        fits = []
+        for f in (plain, marked):
+            out, gof = str(tmp_path / f"{f.stem}_fit.json"), str(tmp_path / f"{f.stem}_gof.json")
+            assert main(["fit", "--input", str(f), "--out", out]) == 0
+            assert main(["gof", "--input", str(f), "--fit-result", out, "--out", gof]) == 0
+            with open(out, encoding="utf-8") as fh:
+                fits.append(json.load(fh)["params"])
+        assert fits[0] == fits[1]
+        marked.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n")
+        out = str(tmp_path / "two_gof.json")
+        assert main(["gof", "--input", str(marked), "--params", "0,1,5,0.2,0.4", "--out", out]) == 0
 
     def test_table_text_reads_back_bit_for_bit(self, tmp_path):
         from esbiii._g17 import table_text

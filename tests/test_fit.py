@@ -649,20 +649,95 @@ class TestMuMove:
         x = sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 2000, seed=1)
         return x, _floored(x), fit_ml(Dataset(x)).params
 
-    @pytest.mark.parametrize("cells, nodes", [(0.0, 5), (1.0, 5), (2.5, 41), (-2.5, 41)])
-    def test_later_moves_scan_the_window_first(self, objective_calls, bimodal_mode, cells, nodes):
+    @pytest.fixture
+    def full_scan(self, monkeypatch):
+        """The mu move with its five-node window widened to the whole grid: a forced 41-node scan.
+
+        The widening step then has no nodes left.  Up to one block of points
+        a scan joins its _block_loglik columns with np.concatenate, which
+        takes no empty list, so inside this move an empty one joins to no
+        values.
+        """
+        import esbiii.fit
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def concatenate(parts):
+                return np.concatenate(parts) if parts else np.empty(0)
+
+        def move(data, p, orig=esbiii.fit._comb_mu_update):
+            with monkeypatch.context() as m:
+                m.setattr(esbiii.fit, "_NEAR", slice(0, 41))
+                m.setattr(esbiii.fit, "np", Numpy())
+                return orig(data, p)
+
+        return move
+
+    @staticmethod
+    def _scanned(calls):
+        """Nodes of every scan column in calls, in order."""
+        return [shape[0] for _, _, shape in calls if len(shape) == 2]
+
+    @pytest.mark.parametrize(
+        "cells, nodes", [(0.0, 5), (1.0, 5), (2.5, 41), (-2.5, 41), (25.0, 41), (-25.0, 41)]
+    )
+    def test_a_move_scans_the_window_first(
+        self, objective_calls, bimodal_mode, full_scan, cells, nodes
+    ):
         # mu `cells` scan cells from the fitted mode: up to one cell off the
-        # best of the five window nodes is an inner one, beyond it an edge one
+        # best of the five window nodes is an inner one, beyond it an edge one;
+        # beyond the grid's 20 cells the best of all 41 is the grid's edge node
         from esbiii.fit import _comb_mu_update
 
         x, data, p = bimodal_mode
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
         q = replace(p, mu=p.mu + cells * cell)
-        near = _comb_mu_update(data, q, full=False)
-        assert sum(shape[0] for _, _, shape in objective_calls if len(shape) == 2) == nodes
+        move = _comb_mu_update(data, q)
+        assert sum(self._scanned(objective_calls)) == nodes
         objective_calls.clear()
-        assert _comb_mu_update(data, q) == near
-        assert sum(shape[0] for _, _, shape in objective_calls if len(shape) == 2) == 41
+        assert full_scan(data, q) == move
+        assert sum(self._scanned(objective_calls)) == 41
+
+    def test_every_move_of_a_fit_scans_the_window_first(self, objective_calls, full_scan, monkeypatch):
+        # a start's first move as well as every later one: the five window nodes
+        # make one column at n = 2000; the other 36 follow only when the best of
+        # them is an edge node, and the move is the forced 41-node scan's
+        import esbiii.fit
+
+        moves, values = [], []
+
+        def move(data, p, orig=esbiii.fit._comb_mu_update):
+            objective_calls.clear()
+            values.clear()
+            result = orig(data, p)
+            window = values[0]
+            moves.append((data, p, result, self._scanned(objective_calls), int(np.argmax(window))))
+            return result
+
+        def block(x, mu, *args, orig=esbiii.fit._block_loglik):
+            values.append(orig(x, mu, *args))
+            return values[-1]
+
+        def ascend(data, p, *args, orig=esbiii.fit._ascend):
+            first.append(len(moves))
+            return orig(data, p, *args)
+
+        first = []
+        monkeypatch.setattr(esbiii.fit, "_comb_mu_update", move)
+        monkeypatch.setattr(esbiii.fit, "_block_loglik", block)
+        monkeypatch.setattr(esbiii.fit, "_ascend", ascend)
+        fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
+        monkeypatch.undo()
+        assert len(first) > 1 and len(moves) > len(first)
+        for data, p, result, scanned, best in moves:
+            assert scanned[0] == 5
+            assert sum(scanned) == (41 if best in (0, 4) else 5)
+            assert full_scan(data, p) == result
+        # a start's first move, too, scans five nodes when their best is an inner one
+        assert any(sum(moves[j][3]) == 5 for j in first)
 
     @pytest.mark.parametrize(
         "truth, n, seed",
@@ -674,22 +749,22 @@ class TestMuMove:
             ((2.0, 1.0, -0.3), _BLOCK + 1, 1),
         ],
     )
-    def test_fit_equals_the_fit_with_every_scan_full(self, monkeypatch, truth, n, seed):
+    def test_fit_equals_the_fit_with_every_scan_full(self, monkeypatch, full_scan, truth, n, seed):
         import esbiii.fit
 
         data = Dataset(sample(Params(0.0, 1.0, *truth), n, seed=seed))
         windowed = fit_ml(data)
-        orig, local = esbiii.fit._comb_mu_update, []
+        forced = []
 
-        def full_scan(data, p, full=True):
-            local.append(not full)
-            return orig(data, p)
+        def move(data, p):
+            forced.append(p)
+            return full_scan(data, p)
 
-        monkeypatch.setattr(esbiii.fit, "_comb_mu_update", full_scan)
-        forced = fit_ml(data)
-        assert any(local)
+        monkeypatch.setattr(esbiii.fit, "_comb_mu_update", move)
+        full = fit_ml(data)
+        assert forced
         fields = ("params", "loglik", "converged", "cycles", "score_norm", "trace")
-        assert [getattr(windowed, f) for f in fields] == [getattr(forced, f) for f in fields]
+        assert [getattr(windowed, f) for f in fields] == [getattr(full, f) for f in fields]
 
     @staticmethod
     def _elements_of_a_fit(calls, truth):
@@ -698,8 +773,8 @@ class TestMuMove:
 
     def test_objective_elements_of_a_boundary_fit(self, objective_calls):
         # a count, not a wall time: 4,776,000 sorted-sample objective (_mu_line),
-        # 1,718,000 scan and 550,000 mu slope elements
-        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 7_044_000
+        # 1,214,000 scan and 550,000 mu slope elements
+        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 6_540_000
         # the line's probes are most of the work: a count that misses them is blind
         line = sum(size for kernel, size, _ in objective_calls if kernel == "_mu_line")
         assert 0.9 * 4_780_000 <= line <= 1.1 * 4_780_000
@@ -708,9 +783,9 @@ class TestMuMove:
         "truth, count",
         [
             # on the sorted sample, objective + scan + mu slope elements: 1,914,000
-            # + 902,000 + 250,000 and 1,982,000 + 842,000 + 164,000
-            ((2.0, 1.0, -0.3), 3_066_000),
-            ((5.0, 0.1, 0.2), 2_988_000),
+            # + 614,000 + 250,000 and 1,982,000 + 554,000 + 164,000
+            ((2.0, 1.0, -0.3), 2_778_000),
+            ((5.0, 0.1, 0.2), 2_700_000),
         ],
         # named for the shape, not the ceiling, so a tightened count keeps the name
         ids=["bimodal", "spiked"],

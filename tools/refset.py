@@ -13,8 +13,9 @@ versions run each checkout's copy of this file.
 --compare prints, for two such files, how many fits are identical (every
 field), higher or lower in loglik, or equal in loglik with another field
 moved, split by converged (at both) or not and by mu pinned (at either)
-or free.  Each change of convergence is listed, and each group's largest
-move down and up, relative to |loglik|.
+or free.  Each change of convergence is listed, each group's largest
+move down and up, relative to |loglik|, and each fit of equal loglik
+with the fields that moved (params by name).
 
 The full set (--subset all) is 198 fits, about 20 s: the nine benchmark
 fits (three truths at n = 2000, seeds 1-3), the CLI chain's three fits,
@@ -120,6 +121,17 @@ def write(subset, path):
     print(f"{len(fits)} fits in {time.perf_counter() - t0:.1f} s -> {path}", file=sys.stderr)
 
 
+def _moved(ra, rb):
+    """The fields in which two records of one fit differ, params by name."""
+    fields = []
+    for key, value in ra.items():
+        if key == "params":
+            fields += [f"params.{p}" for p, v in value.items() if v != rb[key][p]]
+        elif value != rb[key]:
+            fields.append(key)
+    return fields
+
+
 def compare(path_a, path_b):
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b))
     only = sorted(a.keys() ^ b.keys())
@@ -141,7 +153,7 @@ def compare(path_a, path_b):
         else:
             kind = "higher" if lb > la else "lower"
         rel = (lb - la) / abs(la) if la else lb - la
-        groups.setdefault(key, []).append((kind, rel, name, la, lb))
+        groups.setdefault(key, []).append((kind, rel, name, la, lb, _moved(ra, rb)))
     for key in sorted(groups):
         fits = groups[key]
         counts = {kind: sum(f[0] == kind for f in fits) for kind in ("identical", "same loglik", "higher", "lower")}
@@ -149,8 +161,11 @@ def compare(path_a, path_b):
         for kind, pick in (("lower", min), ("higher", max)):
             moved = [f for f in fits if f[0] == kind]
             if moved:
-                _, rel, name, la, lb = pick(moved, key=lambda f: f[1])
+                _, rel, name, la, lb, _ = pick(moved, key=lambda f: f[1])
                 print(f"  most {kind}: {rel:+.2e} relative, {name}, loglik {la!r} -> {lb!r}")
+        for kind, _, name, _, _, fields in sorted(fits, key=lambda f: f[2]):
+            if kind == "same loglik":
+                print(f"  same loglik: {name}, moved: {', '.join(fields)}")
 
 
 def main(argv=None):
