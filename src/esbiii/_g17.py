@@ -18,7 +18,11 @@ significant digits: the digits as one uint64 mantissa M, eight at a time,
 and M * 10**e rounded to nearest through the same double-double powers of
 ten (Clinger, "How to read floating point numbers accurately", PLDI 1990;
 the word-parallel digits of Lemire, "Number parsing at a gigabyte per
-second", Software: Practice and Experience 51, 2021).  It marks as not
+second", Software: Practice and Experience 51, 2021).  One test checks
+the mantissa [+-]digits[.digits]: first on every whole line, then, on
+the lines that fail it, on the bytes before an exponent split off at the
+line's last non-digit (or at the byte before it, when that is a sign),
+which must be an e or E with 1-3 digits after it.  It marks as not
 parsed every other line, and every value it cannot round with certainty,
 for the caller to give to float().
 """
@@ -92,23 +96,6 @@ def _tables():
             before.append(_span(0, 6 + qq)[:3])
             after.append(_span(7 + qq, 8 + z)[:3])
             point.append([w & dot for w in _span(6 + qq, 7 + qq)[:3]])
-    # the reader: a byte's class among the non-digits (1 sign, 2 point,
-    # 3 exponent mark, 4 other) times 5**j for the j-th non-digit of a line
-    cls = np.full(256, 4, np.intp)
-    cls[[ord("+"), ord("-")]] = 1
-    cls[ord(".")] = 2
-    cls[[ord("e"), ord("E")]] = 3
-    cls[ord("0") : ord("9") + 1] = 0
-    # the grammar's shapes, by code sum(class_j * 5**j): 1 valid, 2 valid
-    # with an exponent sign; a leading sign; which non-digit is the point,
-    # and which the exponent mark (4 for none)
-    shapes = np.zeros((5**4, 4), np.intp)
-    for sign in ("", "s"):
-        for p in ("", "p"):
-            for e in ("", "e", "es"):
-                pattern = sign + p + e
-                code = sum(" spe".index(ch) * 5**j for j, ch in enumerate(pattern))
-                shapes[code] = (1 + (e == "es"), sign == "s", pattern.find("p") % 5, pattern.find("e") % 5)
     tables = {
         "pow10": np.array(pow10).T.copy(),
         "q17": np.array(q) * 17,
@@ -117,8 +104,6 @@ def _tables():
         "before": np.array(before, _U).T.copy(),
         "after": np.array(after, _U).T.copy(),
         "point": np.array(point, _U).T.copy(),
-        "cls": np.array([cls * 5**j for j in range(4)]),
-        "shapes": shapes,
         "last": np.array([_span(_WIDTH - k, _WIDTH) for k in range(_WIDTH + 1)], _U),
         "sign": np.array([1.0, -1.0]),
     }
@@ -278,33 +263,17 @@ def _low(x):
     return ((x & (_U(0) - x)).astype(np.float64).view(np.int64) >> 52) - 1023
 
 
-def _shape(flat, base, first, nondigit, t):
-    """The grammar's parts of some lines, from their non-digits, at most four.
+def _mantissa(flat, base, first, lead, bits, end):
+    """Which lines spell [+-]digits[.digits] in slots first to end - 1, and the slot of each one's point.
 
-    Returns whether each line is in the grammar, whether it has a leading
-    sign and whether that is "-", the slots of its point and exponent mark
-    (_WIDTH for none), and whether it has an exponent sign and whether that
-    is "-".
+    bits marks the slots of those bytes that are not 0-9, lead whether
+    slot first holds a sign.  The point's slot is _WIDTH for none.
     """
-    n = nondigit.size
-    slot = np.full((5, n), _WIDTH, np.intp)  # row 4 for a part a line lacks
-    chars = np.zeros((4, n), np.uint8)
-    code = np.zeros(n, np.intp)
-    rest = nondigit.copy()
-    for j in range(4):
-        slot[j] = _low(rest)
-        chars[j] = flat.take(base + np.minimum(slot[j], _WIDTH - 1))
-        code += t["cls"][j].take(chars[j])
-        rest &= rest - _U(1)
-    valid, lead, pj, ej = t["shapes"].take(code, axis=0).T
-    ar = np.arange(n)
-    mark = slot.ravel().take(ej * n + ar)
-    # non-digits may touch only as a mark and its sign
-    pairs = nondigit & (nondigit >> _U(1))
-    good = (rest == 0) & (valid > 0) & ((slot[0] == first) == lead) & (nondigit >> _U(_WIDTH - 1) == 0)
-    good &= pairs == ((valid == 2).astype(_U) << mark.astype(_U))
-    xneg = (valid == 2) & (chars.ravel().take(np.minimum(ej + 1, 3) * n + ar) == ord("-"))
-    return good, lead > 0, chars[0] == ord("-"), slot.ravel().take(pj * n + ar), mark, valid == 2, xneg
+    rest = bits ^ (lead.astype(_U) << first.astype(_U))
+    point = _low(rest)
+    good = ((rest & (rest - _U(1))) == 0) & (np.minimum(point, end) > first + lead)
+    good &= (rest == 0) | ((flat.take(base + np.minimum(point, _WIDTH - 1)) == ord(".")) & (point < end - 1))
+    return good, point
 
 
 def _read_block(windows, stops, size, t):
@@ -327,40 +296,45 @@ def _read_block(windows, stops, size, t):
     x = (((x & _bytes(0x7F)) + _bytes(0x76)) | x) & _bytes(0x80)
     x = ((x * _U(0x0002040810204081)) >> _U(56)).astype(np.uint8).view(np.uint32).ravel()
     nondigit = ((_U(1) << size.astype(_U)) - _U(1)) << (_WIDTH - size).astype(_U) & x
-    # most lines: a sign or digit, then digits with at most one point
+    # the mantissa test runs on every whole line; a line it fails has its
+    # exponent split off at its last non-digit, or at the byte before it
+    # if that is a sign.  That byte must be an e or E with 1-3 digits after
+    # it, and the same test runs on the bytes before it (so that at least
+    # one digit comes first)
     c0 = flat.take(base + first)
     lead = (c0 == ord("-")) | (c0 == ord("+"))
-    neg = c0 == ord("-")
-    rest = nondigit ^ (lead.astype(_U) << first.astype(_U))
-    point = _low(rest)
-    haspt = rest != 0
-    good = fits & ((rest & (rest - _U(1))) == 0) & (point > first + lead)
-    good &= ~haspt | ((flat.take(base + np.minimum(point, _WIDTH - 1)) == ord(".")) & (point < _WIDTH - 1))
+    good, point = _mantissa(flat, base, first, lead, nondigit, _WIDTH)
+    good &= fits
     mark = np.full(n, _WIDTH)
     exp10 = np.zeros(n, np.intp)
     other = np.flatnonzero(fits & ~good)
     if other.size:
-        ok, lead[other], neg[other], pt, mk, xsign, xneg = _shape(flat, base[other], first[other], nondigit[other], t)
-        good[other] = ok
-        point[other] = pt
-        haspt[other] = pt < _WIDTH
-        mark[other] = np.minimum(mk, _WIDTH)
-        sel = ok & (mk < _WIDTH)
-        rows = other[sel]
+        bits, at = nondigit[other], base[other]
+        last = np.frexp(bits.astype(np.float64))[1] - 1
+        sign = flat.take(at + last)
+        mk = last - ((sign == ord("-")) | (sign == ord("+")))
+        digits = _WIDTH - 1 - last
+        # a byte ORed with 0x20 is "e" for e and E alone
+        ok = (flat.take(at + mk) | 0x20 == ord("e")) & (digits > 0) & (digits <= 3)
+        bits &= (_U(1) << mk.astype(_U)) - _U(1)
+        mantissa, pt = _mantissa(flat, at, first[other], lead[other], bits, mk)
+        ok &= mantissa
+        rows = other[ok]
         if rows.size:
-            # the exponent: its digits, at most three, end the line
-            digits = _WIDTH - 1 - mk[sel] - xsign[sel]
-            keep = t["last"][:, 3].take(digits * (digits <= 3))
+            good[rows] = True
+            point[rows] = pt[ok]
+            mark[rows] = mk[ok]
+            # the exponent's digits, from the line's last three bytes
+            keep = t["last"][:, 3].take(digits[ok])
             ex = (g.view(_U)[rows, 3] & keep ^ _bytes(0x30) & keep) >> _U(40)
             ex = ((ex & _U(0xFF)) * _U(100) + (ex >> _U(8) & _U(0xFF)) * _U(10) + (ex >> _U(16))).astype(np.intp)
-            exp10[rows] = np.where(xneg[sel], -ex, ex)
+            exp10[rows] = np.where(sign[ok] == ord("-"), -ex, ex)
             # the mantissa right-aligned in its own window
-            good[rows] &= digits <= 3
             g = g.copy()
             g[rows] = windows[stops[rows] - _WIDTH + mark[rows]]
+    haspt = point < _WIDTH
     frac = np.where(haspt, mark - point - 1, 0)
     ndigits = mark - first - lead - haspt
-    good &= ndigits > 0
     exp10 -= frac
     # the mantissa's digits as bytes 0-9, the point taken out by moving the
     # bytes before it one slot on, then eight digits a word
@@ -385,7 +359,7 @@ def _read_block(windows, stops, size, t):
     # v is the nearest double when both ends of the error bound round to it
     bound = v * 2.0**-99
     good &= (v + (err + bound) == v) & (v + (err - bound) == v)
-    v *= t["sign"].take(neg & lead)
+    v *= t["sign"].take(c0 == ord("-"))
     return v, good
 
 

@@ -886,7 +886,7 @@ def _rel_change(p_new, p_old):
     )
 
 
-_START_EPS = (0.0, 0.6, -0.6)  # eps values seeding the multi-start loops
+_START_EPS = (0.6, -0.6)  # eps of the two ridge starts besides moment_init's
 _START_SHAPES = ((2.0, 1.0), (5.0, 0.1))  # (c, k) tried besides moment_init's
 
 
@@ -902,7 +902,7 @@ def _start_points(data, fixed_c):
     base = _moment_init(data, fixed_c)
     ridge = [base] + [
         replace(base, mu=float(np.quantile(data.values, 0.5 * (1.0 - e0))), eps=e0)
-        for e0 in _START_EPS[1:]
+        for e0 in _START_EPS
     ]
     shapes = [(base.c, base.k)]
     for c0, k0 in _START_SHAPES:

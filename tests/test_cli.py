@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import esbiii
@@ -217,6 +217,15 @@ class TestReadValues:
             "1E5",
             "1e+05",
             "1e-0005",
+            "1e5e5",
+            "e5",
+            "-e5",
+            "1.e5",
+            ".5e3",
+            "1e-5x",
+            "1E+005",
+            "-1.5E-7",
+            "5e0001",
             "-1.2345678901234567e-100",
             "0.30000000000000004",
             "1e-265",
@@ -249,6 +258,52 @@ class TestReadValues:
         with pytest.raises(ParseError, match=re.escape(f"{message}: {token!r}")) as err:
             read_values(str(f))
         assert err.value.line == 2
+
+    # the reader's grammar; lines drawn from its bytes, half of them near it
+    GRAMMAR = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]{1,3})?")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text("0123456789+-.eE ", max_size=34),
+                st.from_regex(r"[+-]?[0-9]{0,20}(\.[0-9]{0,20})?([eE][+-]?[0-9]{0,4})?", fullmatch=True),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_parsed_lines_are_in_the_grammar(self, lines):
+        from esbiii._g17 import line_values
+
+        raw = "\n".join(lines).encode()
+        for starts, stops, values, parsed in line_values(raw):
+            for a, b, v, p in zip(starts.tolist(), stops.tolist(), values.tolist(), parsed.tolist()):
+                if p:
+                    line = raw[a:b].decode()
+                    assert self.GRAMMAR.fullmatch(line), line
+                    assert np.float64(v).tobytes() == np.float64(float(line)).tobytes(), line
+
+    def test_exponent_lines_take_the_fast_path(self):
+        # float() gives these lines the same values, so only this shows them
+        # leaving the exact pass; an exact tie between two doubles is left
+        # to float() by design
+        from fractions import Fraction
+
+        from esbiii._g17 import line_values, table_text
+
+        def tie(text):
+            q = Fraction(text.decode())
+            f = float(q)
+            return 2 * q == Fraction(f) + Fraction(math.nextafter(f, math.inf if q > f else -math.inf))
+
+        rng = np.random.default_rng(240)
+        v = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-240, 280, 20_000)
+        for raw in (table_text([v]), "".join("%.16e\n" % x for x in v).encode(), "".join("%.10E\n" % x for x in v).encode()):
+            blocks = list(line_values(raw))
+            assert sum(p.size for _, _, _, p in blocks) == v.size + 1  # and the empty line after the last \n
+            left = [raw[a:b] for starts, stops, _, p in blocks for a, b in zip(starts[~p].tolist(), stops[~p].tolist())]
+            assert left[-1] == b"" and all(tie(text) for text in left[:-1]), left[:5]
 
     def test_line_of_a_lone_carriage_return(self, tmp_path):
         # \r ends a line, so "\r" alone is an empty line and "\r\r\n" two

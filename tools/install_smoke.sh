@@ -7,7 +7,8 @@
 # and jsonschema; writes its files into WORKDIR.  Runs sample, fit, gof and
 # diagnose through the command and validates their documents against the
 # schema shipped in the package, fits the same file reversed, and reads a
-# 1e5-line sample file back.
+# 1e5-line sample file back, as the CLI writes it and as numpy.savetxt
+# writes it with "%.16e".
 set -euo pipefail
 cd "$1"
 esbiii --version
@@ -44,13 +45,24 @@ print("the reversed file gives the same fit")
 EOF
 
 # the whole-file reader on a real CLI file: 1e5 lines of "%.17g" must read
-# back as the very array sample() draws
+# back as the very array sample() draws.  The CLI's file has no exponent
+# line, so the same values also go through "%.16e", where every line has
+# one: they must read back too, and the exact pass must parse every line
 esbiii sample --mu 0 --sigma 1 --c 2 --k 1 --eps -0.3 --n 100000 --seed 7 --out big.csv
 python - <<'EOF'
-from esbiii import Params, sample
+import numpy as np
+
+from esbiii import Params, _g17, sample
 from esbiii.cli import read_values
 
 want = sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 100000, 7)
 assert read_values("big.csv").tobytes() == want.tobytes()
 print("the 1e5-line sample file reads back bit for bit")
+np.savetxt("big_e.txt", want, fmt="%.16e")
+assert read_values("big_e.txt").tobytes() == want.tobytes()
+with open("big_e.txt", "rb") as fh:
+    parsed = np.concatenate([p for _, _, _, p in _g17.line_values(fh.read())])
+# the empty line after the last newline is not a number
+assert parsed[:-1].all() and not parsed[-1], np.flatnonzero(~parsed)[:5]
+print("the same values written %.16e read back bit for bit, every line parsed exactly")
 EOF
