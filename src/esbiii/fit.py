@@ -37,10 +37,11 @@ burr3._BLOCK points whose partial sums are added by math.fsum.
 fit_ml sorts its standardized sample once (_floored), so a fit depends on
 the data's values alone, not their order, bit for bit.  On sorted data the
 points below mu, those within the floor of it and those with z < 1 are
-runs of indices that bisect finds, so each scalar objective pass of the
-fitter (_mu_line) is arithmetic on slices, with the z of _fold but none of
-its per-point selects; only the mu scan's columns of nodes use the masked
-kernel.  A mu move binds its objective in mu once.
+runs of indices that bisect finds, so each objective pass of the fitter
+(_mu_line) is arithmetic on slices, with the z of _fold but none of its
+per-point selects.  Every objective value the fitter compares comes from
+_mu_line, the mu scan's nodes too; the masked kernel (_block_loglik)
+serves loglik.  A mu move binds its objective in mu once.
 
 An iteration depends on its starting point alone (a failed trust-region
 step is retried from the initial radius), so once one leaves every
@@ -250,7 +251,7 @@ def _summed(kernel, x):
 
 
 def _block_loglik(x, mu, sigma, c, k, eps, floor):
-    """One block's working objective; one per node of a mu column.
+    """One block's working objective, the masked kernel that loglik sums.
 
     The softplus sum over the block is sum log(1 + e**(-c log z)) =
     sum log1p(e**(-c |log z|)) + c (sum |log z| - sum log z) / 2: the
@@ -272,23 +273,6 @@ def _fit_loglik(x, mu, sigma, c, k, eps, floor):
     return float(_summed(lambda xb: _block_loglik(xb, mu, sigma, c, k, eps, floor), x))
 
 
-def _loglik_arrays(x, mu, sigma, c, k, eps):
-    # z = 0 (a point at mu, or so close that z underflows) makes the sum nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = _fit_loglik(x, mu, sigma, c, k, eps, 0.0)
-        if not math.isnan(ll):
-            return ll
-        ck = c * k
-        if ck > 1.0:
-            return -math.inf
-        if ck < 1.0:
-            return math.inf
-        # c*k = 1: tied points contribute exactly the constant term
-        rest = x[_fold(x, mu, sigma, eps)[2] > 0.0]
-        const = math.log(ck / (2.0 * sigma))
-        return (x.size - rest.size) * const + _fit_loglik(rest, mu, sigma, c, k, eps, 0.0)
-
-
 def loglik(p, data):
     """Log-likelihood of the sample under p.
 
@@ -297,9 +281,17 @@ def loglik(p, data):
     when c*k < 1; at c*k = 1 the tied contribution is finite and exact.
     Always equals the sum of pointwise log densities.
     """
-    val = _loglik_arrays(
-        np.asarray(data.values, dtype=float), p.mu, p.sigma, p.c, p.k, p.eps
-    )
+    x = np.asarray(data.values, dtype=float)
+    # z = 0 (a point at mu, or so close that z underflows) makes the sum nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = _fit_loglik(x, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)
+        ck = p.c * p.k
+        if math.isnan(val) and ck != 1.0:
+            val = -math.inf if ck > 1.0 else math.inf
+        elif math.isnan(val):  # c*k = 1: tied points contribute exactly the constant term
+            rest = x[_fold(x, p.mu, p.sigma, p.eps)[2] > 0.0]
+            const = math.log(ck / (2.0 * p.sigma))
+            val = (x.size - rest.size) * const + _fit_loglik(rest, p.mu, p.sigma, p.c, p.k, p.eps, 0.0)
     if val == math.inf:
         warnings.warn(
             "a data point coincides with mu and c*k < 1: likelihood unbounded",
@@ -634,49 +626,39 @@ def _golden_max(f, a, b):
     yield (a, b, x1, f1) if f1 >= f2 else (a, b, x2, f2)
 
 
-_NEAR = slice(18, 23)  # the centre node of the mu move's 41 and two on each side
+_HALF = 2  # the mu move's first window: its centre node and this many on each side
 
 
-def _comb_mu_update(data, p):
+def _comb_mu_update(data, p, ll):
     """The mu move on data: the best of 41 nodes over mu +- max(4 sigma (1 + |eps|), data.spread).
 
-    Only the centre node and two on each side are evaluated, and the
-    other 36 only when the best of those five is on the window's edge.  A
-    node's value does not depend on which nodes share its block, so the
-    move gives the 41-node scan's result whenever that scan's best node
-    is one of the inner three.  _finish_mu then searches the two cells
-    around the best node, and the best node stays when that ends lower.
-    Returns (mu, objective).  The scan and golden section maximize the
-    objective directly because the mu score has a pole at every
-    observation when c*k < 1.
+    ll is the objective at p.  Node i is p.mu + i cell, i = -20..20, and
+    the centre node, p.mu itself, takes ll; every other node is valued by
+    the line _mu_line binds for the move, as is every probe after it, so
+    the move compares values of one objective.  Only the nodes within
+    _HALF of the centre are valued, and the other 36 only when the best of
+    those is on the window's edge: the move gives the 41-node scan's result
+    whenever that scan's best node is an inner one.  Ties go to the lowest
+    node.  _finish_mu then searches the two cells around the best node, and
+    the best node stays when that ends lower.  Returns (mu, objective).  The
+    scan and golden section maximize the objective directly because the mu
+    score has a pole at every observation when c*k < 1.
     """
-    x, floor = data.values, data.floor
     f, plateau = _mu_line(data, p.sigma, p.c, p.k, p.eps)
+    cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
 
-    def scan(nodes):
-        if x.size > _BLOCK:
-            return np.array([f(m) for m in nodes])
-        # rows of nodes that fill a block, and less than two: one call scans the five-node
-        # window up to n = 2047
-        col, rows = nodes.reshape(-1, 1), -(-_BLOCK // x.size)
-        return np.concatenate([
-            _block_loglik(x, col[i : i + rows], p.sigma, p.c, p.k, p.eps, floor)
-            for i in range(0, nodes.size, rows)
-        ])
+    def scan(lo, hi):
+        return [f(p.mu + i * cell) if i else ll for i in range(lo, hi)]
 
-    width = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread)
-    grid = p.mu + np.linspace(-width, width, 41)
-    vals = np.empty(grid.size)
-    vals[_NEAR] = scan(grid[_NEAR])
-    i = _NEAR.start + int(np.argmax(vals[_NEAR]))
-    if i in (_NEAR.start, _NEAR.stop - 1):
-        for rest in (slice(_NEAR.start), slice(_NEAR.stop, None)):
-            vals[rest] = scan(grid[rest])
-        i = int(np.argmax(vals))
-    grid = grid.tolist()
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    vals = scan(-_HALF, _HALF + 1)
+    i = int(np.argmax(vals)) - _HALF
+    if abs(i) == _HALF:
+        vals = scan(-20, -_HALF) + vals + scan(_HALF + 1, 21)
+        i = int(np.argmax(vals)) - 20
+    best = vals[i + len(vals) // 2]
+    lo, hi = p.mu + max(i - 1, -20) * cell, p.mu + min(i + 1, 20) * cell
     m, val = _finish_mu(data, p, f, plateau, lo, hi)
-    return (float(m), val) if val >= vals[i] else (grid[i], float(vals[i]))
+    return (float(m), val) if val >= best else (p.mu + i * cell, best)
 
 
 def _finish_mu(data, p, f, plateau, a, b):
@@ -792,8 +774,6 @@ def solve_coordinate(p, which, data, cfg=None):
         raise DomainError(f"unknown coordinate {which!r}")
     x = np.asarray(data.values, dtype=float)
     data = _floored(x)
-    if which == "mu":
-        return _comb_mu_update(data, p)[0]
     if which == "k":
         # dl/dk = n/k - sum log(1 + z**-c) vanishes at exactly one k
         denom = _summed(
@@ -802,8 +782,10 @@ def solve_coordinate(p, which, data, cfg=None):
         if not (denom > 0.0 and math.isfinite(denom)):
             raise NoBracketError("k update undefined for this configuration")
         return float(x.size / denom)
-    free = [COORD_NAMES.index(which)]
-    ll, radius = _sorted_loglik(data, p.mu, p.sigma, p.c, p.k, p.eps), _RADIUS0
+    ll = _sorted_loglik(data, p.mu, p.sigma, p.c, p.k, p.eps)
+    if which == "mu":
+        return _comb_mu_update(data, p, ll)[0]
+    free, radius = [COORD_NAMES.index(which)], _RADIUS0
     for _ in range((cfg or FitConfig()).max_cycles):
         q, ll, radius = _tr_move(data, p, ll, free, radius)
         if q == p:
@@ -969,7 +951,7 @@ def _ascend(data, p, cfg, score_tol, ends=()):
     converged, radius, cycle = False, _RADIUS0, 0
     for cycle in range(1, cfg.max_cycles + 1):
         p_prev, norm = p, None
-        mu, mu_ll = _comb_mu_update(data, p)
+        mu, mu_ll = _comb_mu_update(data, p, ll)
         if mu_ll > ll:
             p, ll = replace(p, mu=mu), mu_ll
         hold_mu = p.c * p.k < 1.0 or _mu_pinned(data, p.mu)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from esbiii import (
     Dataset,
@@ -507,7 +507,7 @@ class TestLikelihoodSums:
 
 
 class TestGridKernels:
-    """The mu scan evaluates a column of nodes per block; a node alone must give its bits."""
+    """The masked kernel takes a column of mu, one value per node; a node alone must give its bits."""
 
     P = Params(0.1, 1.3, 2.0, 1.0, -0.3)
 
@@ -595,6 +595,51 @@ class TestSortedSample:
         assert repr(permuted) == repr(r)
 
 
+@st.composite
+def _window_cases(draw):
+    """(ys, centre, radius): sorted floats at and one or two ulps beside centre +- radius.
+
+    Half the draws put centre +- radius on a rounding tie, at a power of two
+    times an integer radius of 53 bits, whose ulp is 1, and a centre of an
+    odd half: there the bisect ends need _within's steps.
+    """
+    if draw(st.booleans()):
+        centre, radius = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-12, 1e6))
+    else:
+        scale = 2.0 ** draw(st.integers(-60, 10))
+        centre = scale * (draw(st.integers(-4, 3)) + 0.5)
+        radius = scale * draw(st.integers(2**52, 2**53 - 1))
+    pool = [centre]
+    for edge in (centre - radius, centre + radius):
+        pool += [edge, *(math.nextafter(edge, to) for to in (-math.inf, math.inf))]
+        pool += [math.nextafter(v, to) for v, to in zip(pool[-2:], (-math.inf, math.inf))]
+    pool += draw(st.lists(st.floats(-2e3, 2e3), max_size=4))
+    return sorted(draw(st.lists(st.sampled_from(pool), max_size=12))), centre, radius
+
+
+class TestWithin:
+    """_within's bisect ends and rounding steps select what numpy's mask selects."""
+
+    @settings(max_examples=300)
+    @given(_window_cases())
+    # one case for each of the four steps: back and on from the lower end's
+    # bisect, then back and on from the upper end's
+    @example(([-(2.0**52 + 1)], -0.5, 2.0**52))
+    @example(([-(2.0**52 + 2)], -0.5, 2.0**52 + 1))
+    @example(([2.0**52 + 2], 0.5, 2.0**52 + 1))
+    @example(([2.0**52 + 1], 0.5, 2.0**52))
+    def test_the_run_numpy_selects(self, case):
+        from esbiii.fit import _within
+
+        ys, centre, radius = case
+        i, j = _within(ys, centre, radius)
+        y = np.array(ys, dtype=float)
+        inside = np.abs(y - centre) <= radius
+        assert inside[i:j].all() and not inside[:i].any() and not inside[j:].any()
+        # an empty run sits between the points below and those above
+        assert (centre - y[:i] > radius).all() and (y[j:] - centre > radius).all()
+
+
 class TestMuMove:
     def test_returned_mu_is_a_local_maximum(self):
         from esbiii.fit import _data_resolution, _fit_loglik
@@ -612,12 +657,13 @@ class TestMuMove:
 
     @pytest.fixture
     def objective_calls(self, monkeypatch):
-        """(kernel, x.size, shape of mu) of every _block_loglik call; a column of mu is a scan.
+        """(kernel, x.size, shape of mu) of every objective and mu slope kernel call.
 
-        Each call of a _mu_line line (every scalar objective pass of the
-        fitter, _sorted_loglik's too) and of the mu slope kernel is listed
-        as well, with shape () and the sample's size, so that the mu move's
-        work cannot hide in them.
+        Each call of a _mu_line line (every objective value the fitter
+        compares, the mu scan's nodes and _sorted_loglik's too) is listed
+        with shape () and the sample's size, as is each call of the mu slope
+        kernel and of the masked kernel _block_loglik, with its mu's shape,
+        so that the mu move's work cannot hide in them.
         """
         import esbiii.fit
 
@@ -642,6 +688,47 @@ class TestMuMove:
         monkeypatch.setattr(esbiii.fit, "_mu_line", line)
         return calls
 
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Each mu move's scan, in order: a dict of its data, p, ll, nodes and result.
+
+        nodes holds (mu, value) of every line call the move makes before
+        _finish_mu starts: the scan's nodes but the centre, which takes the
+        move's ll, so a scan that values v nodes makes v - 1 calls.
+        """
+        import esbiii.fit
+
+        seen, scanning = [], []
+
+        def line(data, *args, orig=esbiii.fit._mu_line):
+            f, plateau = orig(data, *args)
+
+            def recorded(mu):
+                val = f(mu)
+                if scanning:
+                    seen[-1]["nodes"].append((mu, val))
+                return val
+
+            return recorded, plateau
+
+        def move(data, p, ll, orig=esbiii.fit._comb_mu_update):
+            seen.append({"data": data, "p": p, "ll": ll, "nodes": []})
+            scanning.append(True)
+            try:
+                seen[-1]["result"] = orig(data, p, ll)
+            finally:
+                scanning.clear()
+            return seen[-1]["result"]
+
+        def finish(*args, orig=esbiii.fit._finish_mu):
+            scanning.clear()
+            return orig(*args)
+
+        monkeypatch.setattr(esbiii.fit, "_mu_line", line)
+        monkeypatch.setattr(esbiii.fit, "_comb_mu_update", move)
+        monkeypatch.setattr(esbiii.fit, "_finish_mu", finish)
+        return seen
+
     @pytest.fixture(scope="class")
     def bimodal_mode(self):
         from esbiii.fit import _floored
@@ -651,93 +738,80 @@ class TestMuMove:
 
     @pytest.fixture
     def full_scan(self, monkeypatch):
-        """The mu move with its five-node window widened to the whole grid: a forced 41-node scan.
+        """The mu move with its window's half-width set to the grid's 20 cells: a forced 41-node scan.
 
-        The widening step then has no nodes left.  Up to one block of points
-        a scan joins its _block_loglik columns with np.concatenate, which
-        takes no empty list, so inside this move an empty one joins to no
-        values.
+        The widening step then has no nodes left.  Requested after scans,
+        it runs through that fixture's record of the move.
         """
         import esbiii.fit
 
-        class Numpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def concatenate(parts):
-                return np.concatenate(parts) if parts else np.empty(0)
-
-        def move(data, p, orig=esbiii.fit._comb_mu_update):
+        def move(data, p, ll, orig=esbiii.fit._comb_mu_update):
             with monkeypatch.context() as m:
-                m.setattr(esbiii.fit, "_NEAR", slice(0, 41))
-                m.setattr(esbiii.fit, "np", Numpy())
-                return orig(data, p)
+                m.setattr(esbiii.fit, "_HALF", 20)
+                return orig(data, p, ll)
 
         return move
 
     @staticmethod
-    def _scanned(calls):
-        """Nodes of every scan column in calls, in order."""
-        return [shape[0] for _, _, shape in calls if len(shape) == 2]
+    def _grid(p, data):
+        """The mu move's 41 scan nodes at p, in order: node i at index i + 20, p.mu itself at 20."""
+        cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
+        return [p.mu + i * cell for i in range(-20, 21)]
+
+    def _check_scan(self, scan):
+        """The scan values the five-node window first, and all 41 nodes only when its best is an edge one.
+
+        Returns the number of nodes valued, the centre's included.
+        """
+        grid, called = self._grid(scan["p"], scan["data"]), [mu for mu, _ in scan["nodes"]]
+        value = {**dict(scan["nodes"]), grid[20]: scan["ll"]}
+        window = grid[18:23]
+        assert sorted(called[:4]) == window[:2] + window[3:]
+        edge = int(np.argmax([value[mu] for mu in window])) in (0, 4)
+        assert sorted(called) == (grid[:20] + grid[21:] if edge else window[:2] + window[3:])
+        return 1 + len(called)
 
     @pytest.mark.parametrize(
         "cells, nodes", [(0.0, 5), (1.0, 5), (2.5, 41), (-2.5, 41), (25.0, 41), (-25.0, 41)]
     )
-    def test_a_move_scans_the_window_first(
-        self, objective_calls, bimodal_mode, full_scan, cells, nodes
-    ):
+    def test_a_move_scans_the_window_first(self, scans, bimodal_mode, full_scan, cells, nodes):
         # mu `cells` scan cells from the fitted mode: up to one cell off the
         # best of the five window nodes is an inner one, beyond it an edge one;
         # beyond the grid's 20 cells the best of all 41 is the grid's edge node
-        from esbiii.fit import _comb_mu_update
+        from esbiii.fit import _comb_mu_update, _sorted_loglik
 
         x, data, p = bimodal_mode
         cell = max(4.0 * p.sigma * (1.0 + abs(p.eps)), data.spread) / 20.0
         q = replace(p, mu=p.mu + cells * cell)
-        move = _comb_mu_update(data, q)
-        assert sum(self._scanned(objective_calls)) == nodes
-        objective_calls.clear()
-        assert full_scan(data, q) == move
-        assert sum(self._scanned(objective_calls)) == 41
+        ll = _sorted_loglik(data, q.mu, q.sigma, q.c, q.k, q.eps)
+        move = _comb_mu_update(data, q, ll)
+        assert self._check_scan(scans[-1]) == nodes
+        assert full_scan(data, q, ll) == move
+        grid = self._grid(q, data)
+        assert sorted(mu for mu, _ in scans[-1]["nodes"]) == grid[:20] + grid[21:]
 
-    def test_every_move_of_a_fit_scans_the_window_first(self, objective_calls, full_scan, monkeypatch):
-        # a start's first move as well as every later one: the five window nodes
-        # make one column at n = 2000; the other 36 follow only when the best of
-        # them is an edge node, and the move is the forced 41-node scan's
+    def test_every_move_of_a_fit_scans_the_window_first(self, scans, full_scan, monkeypatch):
+        # a start's first move as well as every later one: the centre takes the
+        # run's objective and the four window nodes are line calls; the other
+        # 36 follow only when the best of the five is an edge node, and the
+        # move is the forced 41-node scan's
         import esbiii.fit
 
-        moves, values = [], []
-
-        def move(data, p, orig=esbiii.fit._comb_mu_update):
-            objective_calls.clear()
-            values.clear()
-            result = orig(data, p)
-            window = values[0]
-            moves.append((data, p, result, self._scanned(objective_calls), int(np.argmax(window))))
-            return result
-
-        def block(x, mu, *args, orig=esbiii.fit._block_loglik):
-            values.append(orig(x, mu, *args))
-            return values[-1]
-
         def ascend(data, p, *args, orig=esbiii.fit._ascend):
-            first.append(len(moves))
+            first.append(len(scans))
             return orig(data, p, *args)
 
         first = []
-        monkeypatch.setattr(esbiii.fit, "_comb_mu_update", move)
-        monkeypatch.setattr(esbiii.fit, "_block_loglik", block)
         monkeypatch.setattr(esbiii.fit, "_ascend", ascend)
         fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
-        monkeypatch.undo()
+        moves = list(scans)
         assert len(first) > 1 and len(moves) > len(first)
-        for data, p, result, scanned, best in moves:
-            assert scanned[0] == 5
-            assert sum(scanned) == (41 if best in (0, 4) else 5)
-            assert full_scan(data, p) == result
-        # a start's first move, too, scans five nodes when their best is an inner one
-        assert any(sum(moves[j][3]) == 5 for j in first)
+        valued = [self._check_scan(scan) for scan in moves]
+        assert set(valued) == {5, 41}
+        for scan in moves:
+            assert full_scan(scan["data"], scan["p"], scan["ll"]) == scan["result"]
+        # a start's first move, too, values five nodes when their best is an inner one
+        assert any(valued[j] == 5 for j in first)
 
     @pytest.mark.parametrize(
         "truth, n, seed",
@@ -756,9 +830,9 @@ class TestMuMove:
         windowed = fit_ml(data)
         forced = []
 
-        def move(data, p):
+        def move(data, p, ll):
             forced.append(p)
-            return full_scan(data, p)
+            return full_scan(data, p, ll)
 
         monkeypatch.setattr(esbiii.fit, "_comb_mu_update", move)
         full = fit_ml(data)
@@ -766,26 +840,58 @@ class TestMuMove:
         fields = ("params", "loglik", "converged", "cycles", "score_norm", "trace")
         assert [getattr(windowed, f) for f in fields] == [getattr(full, f) for f in fields]
 
+    @pytest.mark.parametrize("truth, n", [((3.0, 0.5, 0.3), 200), ((5.0, 0.1, 0.2), 2000)])
+    def test_a_fit_makes_no_masked_objective_call(self, objective_calls, truth, n):
+        # every objective value the fitter compares is a _mu_line line's;
+        # the masked kernel serves loglik alone
+        x = sample(Params(0.0, 1.0, *truth), n, seed=2)
+        r = fit_ml(Dataset(x))
+        solve_coordinate(r.params, "mu", Dataset(x))
+        kernels = {kernel for kernel, _, _ in objective_calls}
+        assert "_mu_line" in kernels and "_block_loglik" not in kernels
+
+    def test_every_run_ends_on_the_line_value_at_its_end_point(self, scans, monkeypatch):
+        # the CLI chain's second fit: a move that keeps p's mu hands back the
+        # run's objective, not a rounding of it from another kernel, so the
+        # objective a run ends with is _sorted_loglik's at its end point
+        import esbiii.fit
+        from esbiii.fit import _sorted_loglik
+
+        runs = []
+
+        def ascend(data, *args, orig=esbiii.fit._ascend):
+            runs.append((data, orig(data, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(esbiii.fit, "_ascend", ascend)
+        fit_ml(Dataset(sample(Params(0.0, 1.0, 3.0, 0.5, 0.3), 200, seed=2)))
+        assert len(runs) > 1 and len(scans) > len(runs)
+        for data, (p, ll, *_) in runs:
+            assert ll == _sorted_loglik(data, p.mu, p.sigma, p.c, p.k, p.eps)
+        for scan in scans:
+            mu, val = scan["result"]
+            assert mu != scan["p"].mu or val == scan["ll"]
+
     @staticmethod
     def _elements_of_a_fit(calls, truth):
         fit_ml(Dataset(sample(Params(0.0, 1.0, *truth), 2000, seed=1)))
         return sum(size * math.prod(shape) for _, size, shape in calls)
 
     def test_objective_elements_of_a_boundary_fit(self, objective_calls):
-        # a count, not a wall time: 4,776,000 sorted-sample objective (_mu_line),
-        # 1,214,000 scan and 550,000 mu slope elements
-        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 6_540_000
+        # a count, not a wall time: 5,776,000 objective (_mu_line) elements,
+        # 1,000,000 of them the mu scan's nodes, and 550,000 mu slope elements
+        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 6_326_000
         # the line's probes are most of the work: a count that misses them is blind
         line = sum(size for kernel, size, _ in objective_calls if kernel == "_mu_line")
-        assert 0.9 * 4_780_000 <= line <= 1.1 * 4_780_000
+        assert 0.9 * 5_776_000 <= line <= 1.1 * 5_776_000
 
     @pytest.mark.parametrize(
         "truth, count",
         [
-            # on the sorted sample, objective + scan + mu slope elements: 1,914,000
-            # + 614,000 + 250,000 and 1,982,000 + 554,000 + 164,000
-            ((2.0, 1.0, -0.3), 2_778_000),
-            ((5.0, 0.1, 0.2), 2_700_000),
+            # objective + mu slope elements, the objective's including the scan's
+            # nodes: 2,434,000 (520,000) + 250,000 and 2,454,000 (472,000) + 164,000
+            ((2.0, 1.0, -0.3), 2_684_000),
+            ((5.0, 0.1, 0.2), 2_618_000),
         ],
         # named for the shape, not the ceiling, so a tightened count keeps the name
         ids=["bimodal", "spiked"],

@@ -15,7 +15,10 @@ field), higher or lower in loglik, or equal in loglik with another field
 moved, split by converged (at both) or not and by mu pinned (at either)
 or free.  Each change of convergence is listed, each group's largest
 move down and up, relative to |loglik|, and each fit of equal loglik
-with the fields that moved (params by name).
+with the fields that moved (params by name).  It is also the gate a
+change of the fitter must pass: it exits 1, naming the fits, when any
+fit changes convergence or a fit converged at both ends more than 1e-9
+relative lower (LOWER_TOL), and 0 otherwise.
 
 The full set (--subset all) is 198 fits, about 20 s: the nine benchmark
 fits (three truths at n = 2000, seeds 1-3), the CLI chain's three fits,
@@ -40,6 +43,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from esbiii import Dataset, Params, fit_ml, sample  # noqa: E402
 from esbiii.fit import _data_resolution  # noqa: E402
+
+LOWER_TOL = 1e-9  # the largest relative drop in loglik a converged fit may take
 
 BENCHMARK = {"bimodal": (2.0, 1.0, -0.3), "boundary": (5.0, 0.2, 0.4), "spiked": (5.0, 0.1, 0.2)}
 SWEEP = (
@@ -137,12 +142,13 @@ def compare(path_a, path_b):
     only = sorted(a.keys() ^ b.keys())
     if only:
         print(f"{len(only)} fits are in one file only, among them {only[:3]}")
-    groups = {}
+    groups, failed = {}, []
     for name in a.keys() & b.keys():
         ra, rb = a[name], b[name]
         la, lb = float.fromhex(ra["loglik"]), float.fromhex(rb["loglik"])
         if ra["converged"] != rb["converged"]:
             print(f"convergence {ra['converged']} -> {rb['converged']}: {name}, loglik {la!r} -> {lb!r}")
+            failed.append(name)
             continue
         key = ("converged" if ra["converged"] else "unconverged",
                "mu pinned" if ra["mu_pinned"] or rb["mu_pinned"] else "mu free")
@@ -153,6 +159,8 @@ def compare(path_a, path_b):
         else:
             kind = "higher" if lb > la else "lower"
         rel = (lb - la) / abs(la) if la else lb - la
+        if ra["converged"] and rel < -LOWER_TOL:
+            failed.append(name)
         groups.setdefault(key, []).append((kind, rel, name, la, lb, _moved(ra, rb)))
     for key in sorted(groups):
         fits = groups[key]
@@ -166,6 +174,10 @@ def compare(path_a, path_b):
         for kind, _, name, _, _, fields in sorted(fits, key=lambda f: f[2]):
             if kind == "same loglik":
                 print(f"  same loglik: {name}, moved: {', '.join(fields)}")
+    if failed:
+        print(f"gate failed by {len(failed)} fits (convergence changed, or converged and lower "
+              f"by more than {LOWER_TOL:g} relative): {', '.join(sorted(failed))}")
+    return 1 if failed else 0
 
 
 def main(argv=None):
@@ -177,9 +189,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.out:
         write(args.subset, args.out)
-    else:
-        compare(*args.compare)
+        return 0
+    return compare(*args.compare)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
