@@ -380,21 +380,25 @@ def _deriv_sums(x, mu, sigma, c, k, eps, floor):
     u, u r, u v, u**2): those of _u_terms, f_uu as in _mu_sums, and v =
     eps - s, s the sign of d, which is du/d atanh(eps).  Returns the 4 x
     10 products, flattened row by row, then _tail_sum's sum of log(1 +
-    z**-c).  A block of more than _DERIV_CHUNK points is reduced in
-    pieces of that many, whose 14 stacked rows of terms (448 KiB) stay in
-    cache; a full block's cost 2.5 times as much per point.
+    z**-c).  The terms are written row by row into one 4-row and one
+    10-row array.  A block of more than _DERIV_CHUNK points is reduced in
+    pieces of that many, whose 14 rows of terms (448 KiB) stay in cache; a
+    full block's cost 2.5 times as much per point.
     """
-    if x.size > _DERIV_CHUNK:  # a full block's stacked rows take 896 KiB
+    if x.size > _DERIV_CHUNK:  # a full block's rows take 896 KiB
         return sum(
             _deriv_sums(x[i : i + _DERIV_CHUNK], mu, sigma, c, k, eps, floor)
             for i in range(0, x.size, _DERIV_CHUNK)
         )
     pos, u, t, f_u, r = _u_terms(x, mu, sigma, c, k, eps, floor)
-    f_uu = (1.0 - t) * t * (-(k + 1.0) * c * c)
-    v = _pick(pos, eps - 1.0, eps + 1.0)
-    one = np.ones_like(u)
-    left = np.stack([one, f_u, f_uu, t])
-    right = np.stack([one, r, v, r * r, r * v, v * v, u, u * r, u * v, u * u])
+    left, right = np.empty((4, u.size)), np.empty((10, u.size))
+    left[0], left[1], left[3] = 1.0, f_u, t
+    f_uu = np.multiply(np.subtract(1.0, t, out=left[2]), t, out=left[2])
+    f_uu *= -(k + 1.0) * c * c
+    right[0], right[1], right[6] = 1.0, r, u
+    right[2] = v = _pick(pos, eps - 1.0, eps + 1.0)
+    for row, (a, b) in zip((3, 4, 5, 7, 8, 9), ((r, r), (r, v), (v, v), (u, r), (u, v), (u, u))):
+        np.multiply(a, b, out=right[row])
     products = left @ right.T
     return np.append(products, _tail_sum(u, t, c))
 
