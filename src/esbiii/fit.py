@@ -31,17 +31,22 @@ between adjacent order statistics).  It is the exact log-likelihood while
 mu keeps the floor distance from every observation.  When mu is pinned
 within the floor of one -- always below c*k = 1, at times just above --
 its score component leaves the convergence norm, and the two objectives
-differ by a bounded amount.  Objectives and scores run in blocks of
-burr3._BLOCK points whose partial sums are added by math.fsum.
+differ by a bounded amount.  loglik, the scores and the derivatives run
+in blocks of burr3._BLOCK points whose partial sums are added by
+math.fsum; the fitter's objective (_mu_line) sums each of its slices in
+one numpy reduction.
 
 fit_ml sorts its standardized sample once (_floored), so a fit depends on
 the data's values alone, not their order, bit for bit.  On sorted data the
 points below mu, those within the floor of it and those with z < 1 are
 runs of indices that bisect finds, so each objective pass of the fitter
-(_mu_line) is arithmetic on slices, with the z of _fold but none of its
-per-point selects.  Every objective value the fitter compares comes from
-_mu_line, the mu scan's nodes too; the masked kernel (_block_loglik)
-serves loglik.  A mu move binds its objective in mu once.
+(_mu_line) is arithmetic on slices, with none of _fold's per-point
+selects.  Its z is _fold's to within 2**-36 relative: while |mu| is
+within 2**15 floors it subtracts mu from the sorted values divided by
+their side's scale once per line, and farther out it makes _fold's
+division.  Every objective value the fitter compares comes from
+_mu_line, the mu scan's nodes and _sorted_loglik's too; the masked kernel
+(_block_loglik) serves loglik.  A mu move binds its objective in mu once.
 
 An iteration depends on its starting point alone (a failed trust-region
 step is retried from the initial radius), so once one leaves every
@@ -131,7 +136,10 @@ class _FlooredSample:
     """A fit's sample, sorted, with its resolution floor and its 5-95% quantile spread.
 
     The spread sets the mu scan's size.  ys holds the values as a list for
-    bisect, and work is one scratch array of their size for _mu_line.
+    bisect, and work is one scratch array of their size for _mu_line.  So
+    are below and above, which hold the values divided by the two side
+    scales [sigma (1 - eps), sigma (1 + eps)] that scales lists: those of
+    the line _mu_line last filled them for.
     """
 
     values: np.ndarray
@@ -139,12 +147,16 @@ class _FlooredSample:
     spread: float
     ys: list = field(repr=False, compare=False)
     work: np.ndarray = field(repr=False, compare=False)
+    below: np.ndarray = field(repr=False, compare=False)
+    above: np.ndarray = field(repr=False, compare=False)
+    scales: list = field(repr=False, compare=False)
 
 
 def _floored(x):
     x = np.sort(x)
     lo, hi = np.quantile(x, [0.05, 0.95])
-    return _FlooredSample(x, _data_resolution(x), float(hi - lo), x.tolist(), np.empty_like(x))
+    scratch = (np.empty_like(x) for _ in range(3))
+    return _FlooredSample(x, _data_resolution(x), float(hi - lo), x.tolist(), *scratch, [math.nan] * 2)
 
 
 def _within(ys, centre, radius):
@@ -168,17 +180,31 @@ def _within(ys, centre, radius):
     return i, j
 
 
+_SCALED_REACH = 2.0**15  # |mu| / floor up to which a _mu_line probe subtracts scaled values
+
+
 def _mu_line(data, sigma, c, k, eps):
     """f(mu), _fit_loglik on the fit's sorted sample data with the other parameters bound.
 
-    f works by slices: the same z as the masked kernel, summed in another
-    order.  Below mu the points take z = (mu - y) / (sigma (1 - eps)), from
-    mu on (y - mu) / (sigma (1 + eps)): the bits of _fold's z.  The points
-    within the floor of mu (a window around the split) share their side's
-    z = floor / scale, and add its terms times their count.  The others
-    are written into data.work, below mu's side first, so that the points
-    with z < 1 are one run of it, around the split: only there is t = -c
-    log z positive, and log(1 + e**t) = t + log(1 + e**-t).  Needs floor > 0.
+    f works by slices, summed in another order than the masked kernel.
+    Below mu the points take z = (mu - y) / s_neg, from mu on (y - mu) /
+    s_pos, with the side scales s_neg = sigma (1 - eps) and s_pos = sigma
+    (1 + eps).  While |mu| <= _SCALED_REACH floor, f forms them from the
+    sorted values divided by their side's scale once per line (data.below
+    and data.above), as mu / s_neg - y / s_neg and y / s_pos - mu / s_pos:
+    one subtraction per point.  Each term rounds by at most 2**-53 of |mu|
+    / s or |y| / s, and an off-floor point has |y - mu| > floor >= |mu| /
+    2**15, so z is within 2**-36 relative of _fold's.  Farther out the
+    scaled terms would cancel, and f takes _fold's z bit for bit, the
+    difference divided by the scale.  A probe refills the buffers when
+    they hold another line's scales, so lines may interleave.
+
+    The points within the floor of mu (a window around the split) share
+    their side's z = floor / scale, and add its terms times their count.
+    The others are written into data.work, below mu's side first, so that
+    the points with z < 1 are one run of it, around the split: only there
+    is t = -c log z positive, and log(1 + e**t) = t + log(1 + e**-t).
+    Needs floor > 0.
 
     The side scales, the constant, c + 1, k + 1 and each side's floored
     log z and softplus term are computed once, here, for every call of f.
@@ -187,8 +213,11 @@ def _mu_line(data, sigma, c, k, eps):
     above it (_breakpoints).
     """
     y, ys, floor, w = data.values, data.ys, data.floor, data.work
+    below, above, held = data.below, data.above, data.scales
     n = len(ys)
-    s_neg, s_pos = sigma * (1.0 - eps), sigma * (1.0 + eps)
+    scales = [sigma * (1.0 - eps), sigma * (1.0 + eps)]
+    s_neg, s_pos = scales
+    reach = _SCALED_REACH * floor
     const, c1, k1 = n * math.log(c * k / (2.0 * sigma)), c + 1.0, k + 1.0
     lz_neg, lz_pos = math.log(floor / s_neg), math.log(floor / s_pos)
     soft_neg, soft_pos = log1p_exp(-c * lz_neg), log1p_exp(-c * lz_pos)
@@ -202,8 +231,16 @@ def _mu_line(data, sigma, c, k, eps):
         lo = bisect.bisect_right(ys, mu - s_neg, 0, a)
         hi = a + bisect.bisect_left(ys, mu + s_pos, b) - b
         u, mid = w[:m], w[lo:hi]
-        np.divide(np.subtract(mu, y[:a], out=w[:a]), s_neg, out=w[:a])
-        np.divide(np.subtract(y[b:], mu, out=w[a:m]), s_pos, out=w[a:m])
+        if abs(mu) <= reach:
+            if held != scales:
+                np.divide(y, s_neg, out=below)
+                np.divide(y, s_pos, out=above)
+                held[:] = scales
+            np.subtract(mu / s_neg, below[:a], out=w[:a])
+            np.subtract(above[b:], mu / s_pos, out=w[a:m])
+        else:
+            np.divide(np.subtract(mu, y[:a], out=w[:a]), s_neg, out=w[:a])
+            np.divide(np.subtract(y[b:], mu, out=w[a:m]), s_pos, out=w[a:m])
         np.log(u, out=u)
         lz = total(u)
         u *= -c  # t

@@ -537,14 +537,22 @@ class TestGridKernels:
 class TestSortedSample:
     """The fitter works on its sample sorted once; the data's order cannot reach a fit."""
 
-    @pytest.mark.parametrize("n", [20, 2000, _BLOCK + 1, 20000])
+    # "tied": 60 values 1 + j 2**-52 among 40 drawn ones, so the floor is
+    # 2**-53 and mu in the cluster is far beyond _SCALED_REACH floors, where
+    # scaled values subtracted would cancel
+    @pytest.mark.parametrize("n", [20, 2000, _BLOCK + 1, 20000, "tied"])
     @pytest.mark.parametrize("shape", [(5.0, 0.2), (2.0, 1.0), (0.5, 4.0)])
     def test_slice_objective_is_the_masked_one(self, n, shape):
         from esbiii.burr3 import _fold
-        from esbiii.fit import _fit_loglik, _floored, _sorted_loglik
+        from esbiii.fit import _SCALED_REACH, _fit_loglik, _floored, _sorted_loglik
 
         c, k = shape
-        x = sample(Params(0.0, 1.0, c, k, 0.3), n, seed=7)
+        if n == "tied":
+            drawn = sample(Params(0.0, 1.0, c, k, 0.3), 40, seed=7)
+            x = np.concatenate([drawn, 1.0 + 2.0**-52 * np.arange(60)])
+            n = x.size
+        else:
+            x = sample(Params(0.0, 1.0, c, k, 0.3), n, seed=7)
         data = _floored(x)
         ys, floor = data.ys, data.floor
         # an observation whose gaps to its neighbours exceed the floor
@@ -566,12 +574,52 @@ class TestSortedSample:
             # a scale beyond nearly all the data: z < 1 almost everywhere
             (obs, 1e6, 0.1),
         ]
+        # mu on both sides of the switch from scaled values to _fold's z
+        reach = _SCALED_REACH * floor
+        for edge in (-reach, reach):
+            cases += [(edge, 1.1, 0.3), (math.nextafter(edge, math.copysign(math.inf, edge)), 0.9, -0.2)]
         for mu, sigma, eps in cases:
             got = _sorted_loglik(data, mu, sigma, c, k, eps)
             want = _fit_loglik(x, mu, sigma, c, k, eps, floor)
             assert abs(got - want) <= 1e-13 * abs(want), (mu, sigma, eps)
             if sigma in (2.0 * d_below, 2.0 * d_above):
                 assert 1.0 in _fold(x, mu, sigma, eps, floor)[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # mu in floors: up to 2**16 of them crosses the switch at 2**15
+        st.one_of(st.floats(-1e3, 1e3), st.floats(-(2.0**16), 2.0**16)),
+        st.floats(1e-3, 10.0),
+        st.floats(0.3, 20.0),
+        st.floats(0.05, 5.0),
+        st.floats(-0.9, 0.9),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 10.0), st.floats(-0.9, 0.9)),
+    )
+    @example(2.0**15, 1.1, 5.0, 0.2, 0.4, (0.1, 0.7, -0.3))
+    @example(math.nextafter(2.0**15, math.inf), 1.1, 5.0, 0.2, 0.4, (0.1, 0.7, -0.3))
+    def test_one_point_is_a_probe_of_its_line(self, floors, sigma, c, k, eps, other):
+        # the fitter compares _sorted_loglik's values with its lines' probes,
+        # so they must be one arithmetic, bit for bit, also when another
+        # line has filled the sample's scaled buffers in between
+        from esbiii.fit import _mu_line, _sorted_loglik
+
+        data = self._line_sample()
+        mu = floors * data.floor
+        f = _mu_line(data, sigma, c, k, eps)[0]
+        first = f(mu)
+        assert math.isfinite(first)
+        other_mu, other_sigma, other_eps = other
+        _mu_line(data, other_sigma, c, k, other_eps)[0](other_mu)
+        assert _sorted_loglik(data, mu, sigma, c, k, eps) == first
+        _mu_line(data, other_sigma, c, k, other_eps)[0](other_mu)
+        assert f(mu) == first
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _line_sample():
+        from esbiii.fit import _floored
+
+        return _floored(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 200, seed=3))
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
