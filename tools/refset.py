@@ -6,8 +6,10 @@
 --out fits each data set with the default fit_ml and writes one JSON
 object per fit: every FitResult field, floats as float.hex, and mu_pinned,
 whether the fitted mu lies within the resolution floor of an observation
-(where the fit holds mu and drops its score from the convergence test).
-The esbiii fitted is the one in this checkout's src, so to compare two
+(where the fit holds mu and drops its score from the convergence test),
+and work, the fit's count of the objective lines fit._mu_line bound and of
+the probes made on them: a measure of the fitter's work that does not
+depend on the hardware.  The esbiii fitted is the one in this checkout's src, so to compare two
 versions run each checkout's copy of this file.
 
 --compare prints, for two such files, how many fits are identical (every
@@ -15,7 +17,8 @@ field), higher or lower in loglik, or equal in loglik with another field
 moved, split by converged (at both) or not and by mu pinned (at either)
 or free.  Each change of convergence is listed, each group's largest
 move down and up, relative to |loglik|, and each fit of equal loglik
-with the fields that moved (params by name).  It is also the gate a
+with the fields that moved (params by name), and each file's work
+totals.  The work counts are no field of this comparison.  It is also the gate a
 change of the fitter must pass: it exits 1, naming the fits, when any
 fit changes convergence or a fit converged at both ends more than 1e-9
 relative lower (LOWER_TOL), and 0 otherwise.
@@ -41,7 +44,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from esbiii import Dataset, Params, fit_ml, sample  # noqa: E402
+from esbiii import Dataset, Params, fit, fit_ml, sample  # noqa: E402
 from esbiii.fit import _data_resolution  # noqa: E402
 
 LOWER_TOL = 1e-9  # the largest relative drop in loglik a converged fit may take
@@ -101,9 +104,30 @@ def datasets(subset):
     yield from _special()
 
 
+def _counted_fit(x):
+    """fit_ml's result on x and {"lines": lines bound, "probes": probes made} of _mu_line."""
+    work, line = {"lines": 0, "probes": 0}, fit._mu_line
+
+    def counted_line(data, *args):
+        f, plateau = line(data, *args)
+        work["lines"] += 1
+
+        def probe(mu):
+            work["probes"] += 1
+            return f(mu)
+
+        return probe, plateau
+
+    fit._mu_line = counted_line
+    try:
+        return fit_ml(Dataset(x)), work
+    finally:
+        fit._mu_line = line
+
+
 def record(x):
-    """fit_ml's result on x, every field exact, and whether mu is pinned."""
-    r = fit_ml(Dataset(x))
+    """fit_ml's result on x, every field exact, whether mu is pinned, and the fit's work."""
+    r, work = _counted_fit(x)
     floor = _data_resolution(x)
     return {
         "params": {name: getattr(r.params, name).hex() for name in ("mu", "sigma", "c", "k", "eps")},
@@ -115,6 +139,7 @@ def record(x):
         "free_params": r.free_params,
         "trace": [[i, v.hex()] for i, v in r.trace],
         "mu_pinned": bool(np.min(np.abs(x - r.params.mu)) <= floor * (1.0 + 1e-9)),
+        "work": work,
     }
 
 
@@ -137,8 +162,21 @@ def _moved(ra, rb):
     return fields
 
 
+def _work_totals(path, fits):
+    """One line: the work counts of a file's fits, summed, or that it holds none."""
+    counted = [r["work"] for r in fits.values() if "work" in r]
+    if not counted:
+        return f"{path}: no work counts"
+    lines, probes = (sum(w[key] for w in counted) for key in ("lines", "probes"))
+    return f"{path}: {lines} lines bound, {probes} probes, in {len(counted)} fits"
+
+
 def compare(path_a, path_b):
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b))
+    for path, fits in ((path_a, a), (path_b, b)):
+        print(_work_totals(path, fits))
+        for r in fits.values():
+            r.pop("work", None)
     only = sorted(a.keys() ^ b.keys())
     if only:
         print(f"{len(only)} fits are in one file only, among them {only[:3]}")
