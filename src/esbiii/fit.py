@@ -155,8 +155,10 @@ class _FlooredSample:
 def _floored(x):
     x = np.sort(x)
     lo, hi = np.quantile(x, [0.05, 0.95])
-    scratch = (np.empty_like(x) for _ in range(3))
-    return _FlooredSample(x, _data_resolution(x), float(hi - lo), x.tolist(), *scratch, [math.nan] * 2)
+    work, below, above = (np.empty_like(x) for _ in range(3))
+    return _FlooredSample(
+        x, _data_resolution(x), float(hi - lo), x.tolist(), work, below, above, [math.nan, math.nan]
+    )
 
 
 def _within(ys, centre, radius):

@@ -9,8 +9,8 @@ whether the fitted mu lies within the resolution floor of an observation
 (where the fit holds mu and drops its score from the convergence test),
 and work, the fit's count of the objective lines fit._mu_line bound and of
 the probes made on them: a measure of the fitter's work that does not
-depend on the hardware.  The esbiii fitted is the one in this checkout's src, so to compare two
-versions run each checkout's copy of this file.
+depend on the hardware.  The esbiii fitted is the one in this checkout's
+src, so to compare two versions run each checkout's copy of this file.
 
 --compare prints, for two such files, how many fits are identical (every
 field), higher or lower in loglik, or equal in loglik with another field
@@ -18,10 +18,11 @@ moved, split by converged (at both) or not and by mu pinned (at either)
 or free.  Each change of convergence is listed, each group's largest
 move down and up, relative to |loglik|, and each fit of equal loglik
 with the fields that moved (params by name), and each file's work
-totals.  The work counts are no field of this comparison.  It is also the gate a
-change of the fitter must pass: it exits 1, naming the fits, when any
-fit changes convergence or a fit converged at both ends more than 1e-9
-relative lower (LOWER_TOL), and 0 otherwise.
+totals on a line of its own; the work counts are no field of the
+comparison.  It is also the gate a change of the fitter must pass: it
+exits 1, naming the fits, when any fit changes convergence or a fit
+converged at both ends more than 1e-9 relative lower (LOWER_TOL), and 0
+otherwise.
 
 The full set (--subset all) is 198 fits, about 20 s: the nine benchmark
 fits (three truths at n = 2000, seeds 1-3), the CLI chain's three fits,
