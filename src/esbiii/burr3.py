@@ -8,6 +8,7 @@ from which the epsilon-skew family in :mod:`esbiii.distribution` is built.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,19 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 
 @dataclass(frozen=True)
 class Burr3Params:
-    """Shape parameters of a Burr III distribution, both strictly positive."""
+    """Shape parameters of a Burr III distribution, both strictly positive.
+
+    The bounds are compared exactly, so an integer beyond the float range
+    is refused like an infinity.
+    """
 
     c: float
     k: float
 
     def __post_init__(self):
-        if not (self.c > 0.0 and np.isfinite(self.c)):
+        if not 0.0 < self.c <= sys.float_info.max:
             raise DomainError(f"c must be positive and finite, got {self.c}")
-        if not (self.k > 0.0 and np.isfinite(self.k)):
+        if not 0.0 < self.k <= sys.float_info.max:
             raise DomainError(f"k must be positive and finite, got {self.k}")
 
 
@@ -167,6 +172,24 @@ def _log_density(log_const, c, k, log_z, out=None):
     res = np.multiply(log_z, c + 1.0, out=out)
     res = np.subtract(log_const, res, out=out)
     return np.subtract(res, tail, out=out)
+
+
+def _log_density_sum(lz, c, k):
+    """The sum of _log_density(0, c, k, lz) over an array lz = log z, which it overwrites.
+
+    The one summed log density of the package: loglik's masked kernel and
+    the fitter's objective add it to their constants.  The softplus sum is
+    sum log(1 + e**(-c log z)) = sum log1p(e**(-c |log z|)) + c (sum |log
+    z| - sum log z) / 2: the positive parts of -c log z come from the two
+    sums, not per point.
+    """
+    s_lz = np.add.reduce(lz)
+    a = np.abs(lz, out=lz)
+    s_abs = np.add.reduce(a)
+    a *= -c
+    np.log1p(np.exp(a, out=a), out=a)
+    soft = np.add.reduce(a) + 0.5 * c * (s_abs - s_lz)
+    return -(c + 1.0) * s_lz - (k + 1.0) * soft
 
 
 def burr3_pdf(p, z):

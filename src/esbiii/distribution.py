@@ -77,9 +77,10 @@ class Params:
     eps: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
+        # exact comparisons: an integer beyond the float range is refused like an infinity
+        if not abs(self.mu) <= sys.float_info.max:
             raise DomainError(f"mu must be finite, got {self.mu}")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+        if not 0.0 < self.sigma <= sys.float_info.max:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         Burr3Params(self.c, self.k)  # validates the shapes
         if not (-1.0 < self.eps < 1.0):

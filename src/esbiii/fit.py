@@ -33,20 +33,23 @@ within the floor of one -- always below c*k = 1, at times just above --
 its score component leaves the convergence norm, and the two objectives
 differ by a bounded amount.  loglik, the scores and the derivatives run
 in blocks of burr3._BLOCK points whose partial sums are added by
-math.fsum; the fitter's objective (_mu_line) sums each of its slices in
-one numpy reduction.
+math.fsum; the fitter's objective (_mu_line) sums its off-floor slice in
+one pass.  Both objectives take the sum of the log density over their
+points from burr3._log_density_sum, and add their constant to it.
 
 fit_ml sorts its standardized sample once (_floored), so a fit depends on
 the data's values alone, not their order, bit for bit.  On sorted data the
-points below mu, those within the floor of it and those with z < 1 are
-runs of indices that bisect finds, so each objective pass of the fitter
-(_mu_line) is arithmetic on slices, with none of _fold's per-point
-selects.  Its z is _fold's to within 2**-36 relative: while |mu| is
-within 2**15 floors it subtracts mu from the sorted values divided by
-their side's scale once per line, and farther out it makes _fold's
-division.  Every objective value the fitter compares comes from
-_mu_line, the mu scan's nodes and _sorted_loglik's too; the masked kernel
-(_block_loglik) serves loglik.  A mu move binds its objective in mu once.
+points below mu and those within the floor of it are runs of indices that
+bisect finds, so each objective pass of the fitter (_mu_line) is
+arithmetic on slices, with none of _fold's per-point selects.  Its z is
+_fold's to within 2**-36 relative: while |mu| is within 2**15 floors it
+subtracts mu from the sorted values divided by their side's scale once
+per line, and farther out it makes _fold's division.  The points within
+the floor add their side's plateau value, burr3._log_density at the
+floored z, times their count.  Every objective value the fitter compares
+comes from _mu_line, the mu scan's nodes and _sorted_loglik's too; the
+masked kernel (_block_loglik) serves loglik.  A mu move binds its
+objective in mu once.
 
 An iteration depends on its starting point alone (a failed trust-region
 step is retried from the initial radius), so once one leaves every
@@ -81,11 +84,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .burr3 import _BLOCK, _blockwise, _fold, _pick, _u_terms
+from .burr3 import _BLOCK, _blockwise, _fold, _log_density, _log_density_sum, _pick, _u_terms
 from .distribution import Params
 from .errors import DegenerateDataError, DensityLimitWarning, DomainError, NoBracketError
 from .errors import SmallSampleError, whole_number
-from .special_math import find_root, log1p_exp
+from .special_math import find_root
 
 __all__ = [
     "COORD_NAMES",
@@ -201,18 +204,15 @@ def _mu_line(data, sigma, c, k, eps):
     difference divided by the scale.  A probe refills the buffers when
     they hold another line's scales, so lines may interleave.
 
-    The points within the floor of mu (a window around the split) share
-    their side's z = floor / scale, and add its terms times their count.
-    The others are written into data.work, below mu's side first, so that
-    the points with z < 1 are one run of it, around the split: only there
-    is t = -c log z positive, and log(1 + e**t) = t + log(1 + e**-t).
-    Needs floor > 0.
+    The points off the floor are written into data.work and summed by
+    burr3._log_density_sum.  Those within the floor of mu (a window around
+    the split) share their side's z = floor / scale, and add its log
+    density times their count.  Needs floor > 0.
 
-    The side scales, the constant, c + 1, k + 1 and each side's floored
-    log z and softplus term are computed once, here, for every call of f.
-    Returns (f, plateau): plateau holds the log density, less its
-    constant, of a point on its floor plateau with mu below it and with mu
-    above it (_breakpoints).
+    The side scales, the constant and the two plateau values are computed
+    once, here, for every call of f.  Returns (f, plateau): plateau holds
+    the log density, less its constant, of a point on its floor plateau
+    with mu below it and with mu above it (_breakpoints).
     """
     y, ys, floor, w = data.values, data.ys, data.floor, data.work
     below, above, held = data.below, data.above, data.scales
@@ -220,19 +220,13 @@ def _mu_line(data, sigma, c, k, eps):
     scales = [sigma * (1.0 - eps), sigma * (1.0 + eps)]
     s_neg, s_pos = scales
     reach = _SCALED_REACH * floor
-    const, c1, k1 = n * math.log(c * k / (2.0 * sigma)), c + 1.0, k + 1.0
-    lz_neg, lz_pos = math.log(floor / s_neg), math.log(floor / s_pos)
-    soft_neg, soft_pos = log1p_exp(-c * lz_neg), log1p_exp(-c * lz_pos)
-    total = np.add.reduce
+    const = n * math.log(c * k / (2.0 * sigma))
+    on_neg, on_pos = (_log_density(0.0, c, k, math.log(floor / s)) for s in scales)
 
     def f(mu):
         a, b = _within(ys, mu, floor)  # the floor window
         split = bisect.bisect_left(ys, mu, a, b)
         m = a + n - b  # points off the floor
-        # the run of z < 1; a point beside its ends has z near 1, where both forms of the softplus hold
-        lo = bisect.bisect_right(ys, mu - s_neg, 0, a)
-        hi = a + bisect.bisect_left(ys, mu + s_pos, b) - b
-        u, mid = w[:m], w[lo:hi]
         if abs(mu) <= reach:
             if held != scales:
                 np.divide(y, s_neg, out=below)
@@ -243,22 +237,10 @@ def _mu_line(data, sigma, c, k, eps):
         else:
             np.divide(np.subtract(mu, y[:a], out=w[:a]), s_neg, out=w[:a])
             np.divide(np.subtract(y[b:], mu, out=w[a:m]), s_pos, out=w[a:m])
-        np.log(u, out=u)
-        lz = total(u)
-        u *= -c  # t
-        t = total(mid)
-        np.negative(mid, out=mid)  # -|t|
-        np.log1p(np.exp(u, out=u), out=u)
-        soft = total(u) + t
-        if split > a:
-            lz += (split - a) * lz_neg
-            soft += (split - a) * soft_neg
-        if b > split:
-            lz += (b - split) * lz_pos
-            soft += (b - split) * soft_pos
-        return const - c1 * lz - k1 * soft
+        lz = np.log(w[:m], out=w[:m])
+        return const + _log_density_sum(lz, c, k) + (split - a) * on_neg + (b - split) * on_pos
 
-    return f, (-c1 * lz_pos - k1 * soft_pos, -c1 * lz_neg - k1 * soft_neg)
+    return f, (on_pos, on_neg)
 
 
 def _sorted_loglik(data, mu, sigma, c, k, eps):
@@ -290,21 +272,9 @@ def _summed(kernel, x):
 
 
 def _block_loglik(x, mu, sigma, c, k, eps, floor):
-    """One block's working objective, the masked kernel that loglik sums.
-
-    The softplus sum over the block is sum log(1 + e**(-c log z)) =
-    sum log1p(e**(-c |log z|)) + c (sum |log z| - sum log z) / 2: the
-    positive parts of -c log z come from the two sums, not per point.
-    """
-    d, _, lz = _fold(x, mu, sigma, eps, floor)
-    np.log(lz, out=lz)
-    s_lz = lz.sum(axis=-1)
-    a = np.abs(lz, out=d)
-    s_abs = a.sum(axis=-1)
-    a *= -c
-    np.log1p(np.exp(a, out=a), out=a)
-    soft = a.sum(axis=-1) + 0.5 * c * (s_abs - s_lz)
-    return x.size * math.log(c * k / (2.0 * sigma)) - (c + 1.0) * s_lz - (k + 1.0) * soft
+    """One block's working objective, the masked kernel that loglik sums, from _fold's z."""
+    lz = _fold(x, mu, sigma, eps, floor)[2]
+    return x.size * math.log(c * k / (2.0 * sigma)) + _log_density_sum(np.log(lz, out=lz), c, k)
 
 
 def _fit_loglik(x, mu, sigma, c, k, eps, floor):

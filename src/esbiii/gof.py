@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -141,7 +142,8 @@ def ks_pvalue(d, n):
 
 def aic(loglik, free_params):
     """Akaike information criterion, 2 * free_params - 2 * loglik."""
-    whole_number(free_params, "free_params")
+    if whole_number(free_params, "free_params") > sys.float_info.max:  # 2 free_params is a float
+        raise DomainError(f"free_params must be a positive integer a float holds, got {free_params}")
     return 2.0 * free_params - 2.0 * loglik
 
 

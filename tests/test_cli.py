@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import esbiii
 from esbiii import Params, cdf, sample
 from esbiii.cli import EXIT_BAD_INPUT, main, read_values
-from esbiii.errors import ParseError
+from esbiii.errors import DensityLimitWarning, ParseError
 
 from importlib import resources
 
@@ -549,6 +549,22 @@ class TestFitCommand:
         assert out.read_bytes() == first
         assert b'"timestamp_utc": "2023-11-14T22:13:20+00:00"' in first
 
+    def test_unconverged_fit_exits_3_with_its_document(self, tmp_path, monkeypatch, capsys):
+        # this sample's fit stops unconverged on the sigma -> 0 ray
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        data = tmp_path / "d.txt"
+        _write_sample(data, p=Params(0.0, 1.0, 0.8, 0.5, 0.2), n=200, seed=2)
+        out = tmp_path / "f.json"
+        argv = ["fit", "--input", str(data), "--out", str(out)]
+        assert main(argv) == 3
+        assert "fit did not converge; result written anyway" in capsys.readouterr().err
+        first = out.read_bytes()
+        doc = json.loads(first)
+        VALIDATOR.validate(doc)
+        assert doc["converged"] is False
+        assert main(argv) == 3
+        assert out.read_bytes() == first
+
     @pytest.mark.parametrize("epoch", ["abc", "99999999999999"])
     def test_malformed_epoch_exits_2_before_fitting(self, tmp_path, monkeypatch, capsys, epoch):
         import esbiii.cli
@@ -649,6 +665,27 @@ class TestGofCommand:
         assert np.array_equal(rows[:, 0], np.sort(xs))
         assert rows[:, 2] == pytest.approx(cdf(TRUTH, rows[:, 0]), rel=1e-15)
         assert np.all(np.diff(rows[:, 1]) > 0.0) or np.all(np.diff(rows[:, 1]) >= 0.0)
+
+    @pytest.mark.parametrize(
+        "params, loglik, aic",
+        [("0,1,5,1,0.4", "-inf", "inf"), ("0,1,5,0.1,0.4", "inf", "-inf")],
+        ids=["ck_above_1", "ck_below_1"],
+    )
+    def test_observation_at_mu_renders_infinities(self, tmp_path, params, loglik, aic):
+        # the density at mu is 0 when c*k > 1 and diverges when c*k < 1
+        data = tmp_path / "d.txt"
+        xs = sample(TRUTH, 100, seed=1)
+        data.write_text("".join(f"{v:.17g}\n" for v in [*xs, 0.0]))
+        out = tmp_path / "g.json"
+        argv = ["gof", "--input", str(data), "--params", params, "--out", str(out)]
+        if loglik == "inf":
+            with pytest.warns(DensityLimitWarning):
+                assert main(argv) == 0
+        else:
+            assert main(argv) == 0
+        text = out.read_text()
+        assert f'"loglik": "{loglik}",' in text and f'"aic": "{aic}",' in text
+        VALIDATOR.validate(json.loads(text))
 
     def test_chains_from_fit_result(self, tmp_path):
         data = tmp_path / "d.txt"
@@ -764,7 +801,10 @@ class TestTopLevel:
 
 
 class TestGofFreeParams:
-    @pytest.mark.parametrize("value", ["five", 4.7, 0, -1, True, None])
+    # 10**400: a JSON integer too large for the float the AIC takes
+    @pytest.mark.parametrize(
+        "value", ["five", 4.7, 0, -1, True, None, pytest.param(10**400, id="1e400")]
+    )
     def test_non_positive_integer_exits_2(self, tmp_path, capsys, value):
         data = tmp_path / "d.txt"
         _write_sample(data, n=100, seed=1)
@@ -812,6 +852,20 @@ class TestGofFitResultParams:
             "gof", "--input", str(data), "--fit-result", str(doc), "--out", str(out),
         ]) == 2
         assert f"params.{bad} must be a JSON number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["mu", "sigma", "c", "k", "eps"])
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys, bad):
+        data = tmp_path / "d.txt"
+        _write_sample(data, n=100, seed=1)
+        doc = tmp_path / "fit.json"
+        params = {"mu": 0.0, "sigma": 1.0, "c": 5.0, "k": 0.2, "eps": 0.4, bad: 10**400}
+        doc.write_text(json.dumps({"params": params, "free_params": 5}))
+        out = tmp_path / "gof.json"
+        assert main([
+            "gof", "--input", str(data), "--fit-result", str(doc), "--out", str(out),
+        ]) == 2
+        assert f"esbiii: error: {bad} must " in capsys.readouterr().err
         assert not out.exists()
 
     def test_integers_are_numbers(self, tmp_path):

@@ -60,6 +60,12 @@ class TestParams:
             dict(mu=0.0, sigma=1.0, c=2.0, k=1.0, eps=1.0),
             dict(mu=0.0, sigma=1.0, c=2.0, k=1.0, eps=-1.5),
             dict(mu=math.nan, sigma=1.0, c=2.0, k=1.0, eps=0.0),
+            # integers beyond the float range, which no float conversion may reach
+            dict(mu=10**400, sigma=1.0, c=2.0, k=1.0, eps=0.0),
+            dict(mu=0.0, sigma=10**400, c=2.0, k=1.0, eps=0.0),
+            dict(mu=0.0, sigma=1.0, c=10**400, k=1.0, eps=0.0),
+            dict(mu=0.0, sigma=1.0, c=2.0, k=10**400, eps=0.0),
+            dict(mu=0.0, sigma=1.0, c=2.0, k=1.0, eps=10**400),
         ],
     )
     def test_invalid_rejected(self, kwargs):

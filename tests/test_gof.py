@@ -168,6 +168,8 @@ class TestAic:
             aic(0.0, 0)
         with pytest.raises(DomainError):
             aic(0.0, 2.5)
+        with pytest.raises(DomainError):  # beyond the float range
+            aic(0.0, 10**400)
 
 
 class TestCompareModels:
