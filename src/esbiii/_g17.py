@@ -34,8 +34,6 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .burr3 import _BLOCK
-
 # Decimal exponents the writer meets, its +-1 corrections included.
 _EMIN, _EMAX = -281, 281
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -44,6 +42,10 @@ _U = np.uint64
 _WIDTH = 32
 # Bytes of the file the reader finds line ends in first.
 _STEP = 1 << 17
+# Values the writer formats per block, and twice the lines the reader
+# parses per block, whose 32-byte windows take 128 KiB.  The bulk kernels'
+# burr3._BLOCK is sized for float64 temporaries instead.
+_TEXT_BLOCK = 1 << 13
 _ONES = 0x0101010101010101
 
 
@@ -206,12 +208,12 @@ def table_text(columns):
     """Rows of "%.17g" texts joined by commas, each row ending in a newline, as ASCII bytes.
 
     columns are equal-length 1-d float64 arrays.  The table goes through
-    in blocks of about _BLOCK values, whole rows each, so that every
+    in blocks of about _TEXT_BLOCK values, whole rows each, so that every
     temporary comes from the heap rather than fresh pages.
     """
     ncols = len(columns)
     values = np.column_stack(columns).ravel()
-    step = max(1, _BLOCK // ncols) * ncols
+    step = max(1, _TEXT_BLOCK // ncols) * ncols
     seps = np.array([ord(",")] * (ncols - 1) + [ord("\n")], _U) << _U(56)
     seps = np.tile(seps, step // ncols)
     rows = np.empty((step, 4), _U)
@@ -367,8 +369,8 @@ def line_values(raw):
     """The float of each line of raw, bytes, where a strict grammar gives it exactly.
 
     Lines end as universal newlines end them.  Yields, for each block of
-    at most _BLOCK // 2 lines (128 KiB of windows), (starts, stops, values,
-    parsed): line j of the block is raw[starts[j]:stops[j]], and where
+    at most _TEXT_BLOCK // 2 lines (128 KiB of windows), (starts, stops,
+    values, parsed): line j of the block is raw[starts[j]:stops[j]], and where
     parsed[j] values[j] is float() of it, bit for bit.  A line is parsed
     when it is an ASCII [+-]digits[.digits][(e|E)[+-]digits] of at most 32
     bytes, 19 significant digits and 3 exponent digits, its digits make
@@ -394,8 +396,8 @@ def line_values(raw):
         else:
             b = np.frombuffer(bytes(_WIDTH) + raw[:hi], np.uint8)
         windows = sliding_window_view(b, _WIDTH)
-        for k in range(0, starts.size, _BLOCK // 2):
-            j = slice(k, k + _BLOCK // 2)
+        for k in range(0, starts.size, _TEXT_BLOCK // 2):
+            j = slice(k, k + _TEXT_BLOCK // 2)
             yield (starts[j], stops[j], *_read_block(windows, stops[j] - lo, stops[j] - starts[j], t))
         if hi == len(raw):
             return

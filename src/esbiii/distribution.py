@@ -35,8 +35,9 @@ from .burr3 import (
     _log_density,
     _maybe_scalar,
     _pick,
-    _quantile_from_neg_log,
-    burr3_quantile,
+    _put,
+    _quantile_of,
+    burr3_quantile,  # noqa: F401 -- no caller here; perfbench/spans.py wraps it at this attribute
 )
 from .errors import DensityLimitWarning, DomainError, MomentDoesNotExistError, whole_number
 from .special_math import beta_fn, ln_gamma, log1p_exp
@@ -104,7 +105,8 @@ class EntropySpec:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)) or self.alpha == 1.0:
+        # exact comparisons: an integer beyond the float range is refused like an infinity
+        if not 0.0 < self.alpha <= sys.float_info.max or self.alpha == 1.0:
             raise DomainError(f"alpha must be positive and != 1, got {self.alpha}")
 
 
@@ -116,7 +118,7 @@ class CfSpec:
     terms: int
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
+        if not abs(self.t) <= sys.float_info.max:  # exact, as in EntropySpec
             raise DomainError(f"t must be finite, got {self.t}")
         whole_number(self.terms, "terms")
 
@@ -229,9 +231,9 @@ def cdf(p, y):
         above = np.exp(t)
         above *= half_hi
         above += half_lo
-        below = -np.expm1(t)
-        below *= half_lo
-        ob[...] = np.where(pos, above, below)
+        np.expm1(t, out=ob)
+        ob *= -half_lo
+        _put(ob, above, pos)
 
     arr = np.asarray(y, dtype=float)
     out = np.empty(arr.shape)
@@ -250,28 +252,28 @@ def quantile(p, prob):
     arr = np.asarray(prob, dtype=float)
     if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise DomainError("prob must lie strictly inside (0, 1)")
-    shapes = Burr3Params(p.c, p.k)
     half_lo = 0.5 * (1.0 - p.eps)
     half_hi = 0.5 * (1.0 + p.eps)
 
     def kernel(q, ob):
         pos = q > half_lo
         half = _pick(pos, half_hi, -half_lo)
-        # r = 1 - u on both branches, (1 - q)/half_hi or (-q)/(-half_lo),
+        # -r = u - 1 on both branches, (q - 1)/half_hi or q/(-half_lo),
         # formed from prob without rounding through u
-        r = np.subtract(pos, q)
-        r /= half
+        neg_r = np.subtract(q, pos, out=ob)
+        neg_r /= half
         # right of the split with u <= 1/2, u itself carries more digits than 1 - r
-        near_split = pos & (r >= 0.5)
+        near_split = pos & (neg_r <= -0.5)
         u = np.subtract(q, half_lo)
         u /= half_hi
-        # r = 1 at the split, where -log u = inf yields the quantile mu; |u|
+        # r = 1 at the split, where log u = -inf yields the quantile mu; |u|
         # keeps the log off the negative u of the left branch, never selected
         with np.errstate(divide="ignore"):
-            np.log1p(np.negative(r, out=r), out=r)
+            log_u = np.log1p(neg_r, out=neg_r)
             np.log(np.abs(u, out=u), out=u)
-        neg_log_u = np.negative(np.where(near_split, u, r))
-        x = _quantile_from_neg_log(shapes, neg_log_u, out=ob)
+        _put(log_u, u, near_split)
+        log_u /= -p.k
+        x = _quantile_of(p.c, log_u)
         x *= np.multiply(half, 2.0, out=half)  # 1 + eps or eps - 1
         x *= p.sigma
         x += p.mu
@@ -292,16 +294,18 @@ def sample(p, n, seed):
     """
     n = whole_number(n, "n")
     rng = np.random.default_rng(whole_number(seed, "seed", 0))
-    shapes = Burr3Params(p.c, p.k)
 
     # Every z is drawn before any sign-scale, as one rng.random(n) call
     # each would: PCG64 streams the same doubles whatever the block size.
     def draw_z(yb):
-        u = rng.random(yb.size)
+        u = rng.random(out=yb)
         zero = u == 0.0  # rng.random can emit 0.0; push it onto (0, 1)
         if zero.any():
             u[zero] = 2.0**-53
-        yb[...] = burr3_quantile(shapes, u)
+        # burr3_quantile without its domain check and copy: u is in (0, 1)
+        a = np.log(u, out=u)
+        a /= -p.k
+        _quantile_of(p.c, a)
 
     def sign_scale(yb):
         v = rng.random(yb.size)

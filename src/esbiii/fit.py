@@ -79,6 +79,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -391,10 +392,10 @@ def _deriv_sums(x, mu, sigma, c, k, eps, floor):
     10 products, flattened row by row, then _tail_sum's sum of log(1 +
     z**-c).  The terms are written row by row into one 4-row and one
     10-row array.  A block of more than _DERIV_CHUNK points is reduced in
-    pieces of that many, whose 14 rows of terms (448 KiB) stay in cache; a
-    full block's cost 2.5 times as much per point.
+    pieces of that many, whose 14 rows of terms (448 KiB) stay in cache;
+    the rows of a full 8192-point block cost 2.5 times as much per point.
     """
-    if x.size > _DERIV_CHUNK:  # a full block's rows take 896 KiB
+    if x.size > _DERIV_CHUNK:  # a full block's rows would take 1.75 MiB
         return sum(
             _deriv_sums(x[i : i + _DERIV_CHUNK], mu, sigma, c, k, eps, floor)
             for i in range(0, x.size, _DERIV_CHUNK)
@@ -483,12 +484,13 @@ class FitConfig:
     fixed_c: float | None = None
 
     def __post_init__(self):
+        # exact comparisons: an integer beyond the float range is refused like an infinity
         object.__setattr__(self, "max_cycles", whole_number(self.max_cycles, "max_cycles"))
-        if not 0.0 < self.param_tol < math.inf:
+        if not 0.0 < self.param_tol <= sys.float_info.max:
             raise DomainError("param_tol must be positive and finite")
-        if self.score_tol is not None and not 0.0 < self.score_tol < math.inf:
+        if self.score_tol is not None and not 0.0 < self.score_tol <= sys.float_info.max:
             raise DomainError("score_tol must be positive and finite")
-        if self.fixed_c is not None and not 0.0 < self.fixed_c < math.inf:
+        if self.fixed_c is not None and not 0.0 < self.fixed_c <= sys.float_info.max:
             raise DomainError("fixed_c must be positive and finite")
 
 

@@ -47,7 +47,10 @@ class Dataset:
     source: str = ""
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
+        try:
+            arr = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
+        except OverflowError:  # an integer beyond the float range, refused like an infinity
+            raise DomainError("dataset contains non-finite values") from None
         if arr.ndim != 1:
             raise DomainError(f"values must be 1-d, got shape {arr.shape}")
         if arr.size == 0:

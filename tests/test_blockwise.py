@@ -1,7 +1,7 @@
-"""The bulk kernels run in blocks of 8192 elements; blocks must not show.
+"""The bulk kernels run in blocks of BLOCK elements; blocks must not show.
 
 Every per-element output of an array equals the output on any split of
-the array, and sample equals its one-shot formula.  loglik and score add
+the array, and sample, quantile and cdf equal their one-shot formulas.  loglik and score add
 per-block partial sums, so only they may move, and only in trailing bits.
 A tracemalloc guard keeps the temporaries of a 1e6-element call at block
 size.
@@ -21,7 +21,9 @@ from esbiii.errors import DensityLimitWarning
 from esbiii.fit import loglik, score
 from esbiii.gof import Dataset
 
-SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+# one short of, at and one past a block, of 8192 elements (the kernels'
+# first block size) and of BLOCK, and a size across blocks
+SIZES = (8191, 8192, 8193, BLOCK - 1, BLOCK, BLOCK + 1, 24581)
 KERNELS = (pdf, logpdf, cdf, quantile)
 REGIMES = ((2.0, 1.0, -0.3), (5.0, 0.2, 0.4), (5.0, 0.1, 0.2))
 
@@ -97,6 +99,51 @@ def test_sample_is_the_one_shot_formula(n, c, k, eps):
     on_mu = y == p.mu
     y[on_mu] = np.nextafter(p.mu, np.copysign(np.inf, u_mix[on_mu]))
     assert np.array_equal(_bits(sample(p, n, 29)), _bits(y))
+
+
+def _tail_probs(p, n, seed):
+    """Uniform probabilities, led by tail ones from 1e-300 to 1 - 2**-53 and the split."""
+    rng = np.random.default_rng(seed)
+    q = rng.random(n)
+    q[q == 0.0] = 0.5
+    tails = np.concatenate([10.0 ** -np.arange(1.0, 301.0), 1.0 - 2.0 ** -np.arange(1.0, 54.0)])
+    q[: tails.size + 1] = np.append(tails, 0.5 * (1.0 - p.eps))
+    return q
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("c, k, eps", REGIMES)
+def test_quantile_is_the_two_branch_formula(n, c, k, eps):
+    p = Params(0.3, 1.7, c, k, eps)
+    q = _tail_probs(p, n, 31)
+    half_lo, half_hi = 0.5 * (1.0 - eps), 0.5 * (1.0 + eps)
+    pos = q > half_lo
+    half = np.where(pos, half_hi, -half_lo)
+    r = (pos - q) / half  # 1 - u, formed from prob
+    u = (q - half_lo) / half_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # -log u: from u itself right of the split where u <= 1/2, else from r
+        a = np.where(pos & (r >= 0.5), -np.log(u), -np.log1p(-r)) / k
+        log_t = np.where(a > 33.0, a + np.log1p(-np.exp(-a)), np.log(np.expm1(np.minimum(a, 33.0))))
+    y = p.mu + np.exp(-log_t / c) * (2.0 * half) * p.sigma
+    assert np.array_equal(_bits(quantile(p, q)), _bits(y))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("c, k, eps", REGIMES)
+def test_cdf_is_the_two_branch_formula(n, c, k, eps):
+    p = Params(0.3, 1.7, c, k, eps)
+    y = sample(p, n, 37)
+    y[:7] = p.mu, -1e300, 1e300, np.nextafter(p.mu, -1.0), np.nextafter(p.mu, 1.0), -1e-300, 1e-300
+    half_lo, half_hi = 0.5 * (1.0 - eps), 0.5 * (1.0 + eps)
+    d = y - p.mu
+    pos = d >= 0.0
+    w = np.abs(d) / np.where(pos, p.sigma * (1.0 + eps), p.sigma * (1.0 - eps))
+    with np.errstate(divide="ignore"):
+        s = -c * np.log(w)
+    t = -k * (np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))))  # -k log(1 + w**-c)
+    want = np.where(pos, half_lo + half_hi * np.exp(t), -half_lo * np.expm1(t))
+    assert np.array_equal(_bits(cdf(p, y)), _bits(want))
 
 
 @pytest.mark.parametrize("c, k, eps", REGIMES)

@@ -397,6 +397,11 @@ class TestCfPartialSum:
         # terms up to floor(c) - 1 are fine
         cf_partial_sum(Params(0.0, 1.0, 5.0, 0.2, 0.4), CfSpec(0.5, 4))
 
+    def test_t_beyond_the_float_range_rejected(self):
+        for t in (10**400, -(10**400), math.inf, math.nan):
+            with pytest.raises(DomainError):
+                CfSpec(t, 2)
+
     def test_against_oscillatory_quadrature(self):
         p = Params(0.0, 1.0, 20.0, 0.2, 0.4)
         t = 0.5
@@ -441,6 +446,10 @@ class TestRenyiEntropy:
     def test_alpha_one_rejected(self):
         with pytest.raises(DomainError):
             EntropySpec(1.0)
+
+    def test_alpha_beyond_the_float_range_rejected(self):
+        with pytest.raises(DomainError):
+            EntropySpec(10**400)
 
 
 def _count_grid_modes(p):

@@ -534,8 +534,9 @@ class TestSortedSample:
 
     # "tied": 60 values 1 + j 2**-52 among 40 drawn ones, so the floor is
     # 2**-53 and mu in the cluster is far beyond _SCALED_REACH floors, where
-    # scaled values subtracted would cancel
-    @pytest.mark.parametrize("n", [20, 2000, _BLOCK + 1, 20000, "tied"])
+    # scaled values subtracted would cancel; 8193 is one past the kernels'
+    # first block size, _BLOCK + 1 one past the current one
+    @pytest.mark.parametrize("n", [20, 2000, 8193, _BLOCK + 1, 20000, "tied"])
     @pytest.mark.parametrize("shape", [(5.0, 0.2), (2.0, 1.0), (0.5, 4.0)])
     def test_slice_objective_is_the_masked_one(self, n, shape):
         from esbiii.burr3 import _fold
@@ -863,6 +864,7 @@ class TestMuMove:
             ((5.0, 0.2, 0.4), 2000, 1),
             ((5.0, 0.1, 0.2), 2000, 1),
             ((3.0, 0.5, 0.3), 200, 3),
+            ((2.0, 1.0, -0.3), 8193, 1),
             ((2.0, 1.0, -0.3), _BLOCK + 1, 1),
         ],
     )
@@ -1591,6 +1593,10 @@ class TestFitConfig:
             dict(param_tol=math.inf),
             dict(score_tol=math.inf),
             dict(score_tol=math.nan),
+            # integers beyond the float range, refused like an infinity
+            dict(fixed_c=10**400),
+            dict(score_tol=10**400),
+            dict(param_tol=10**400),
         ],
     )
     def test_invalid_rejected(self, kwargs):

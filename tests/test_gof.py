@@ -42,6 +42,10 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset([1.0, float("inf")])
 
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(DomainError):
+            Dataset([10**400] * 30)
+
     def test_two_d_rejected(self):
         with pytest.raises(DomainError):
             Dataset([[1.0, 2.0], [3.0, 4.0]])
