@@ -8,6 +8,7 @@ from which the epsilon-skew family in :mod:`esbiii.distribution` is built.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -262,6 +263,25 @@ def _quantile_of(c, a):
     return np.exp(log_t, out=log_t)
 
 
+def _draw(rng, c, k, out):
+    """Fill the 1-d array out with Burr III(c, k) inverse-transform draws from rng.
+
+    The uniforms are drawn into out and turned into quantiles in place,
+    as burr3_quantile would but without its domain check and copy:
+    rng.random can emit exactly 0.0, which becomes 2**-53, so every
+    uniform lies in (0, 1).  PCG64 streams the same doubles whatever the
+    size of out, so draws made block by block equal one rng.random(n)
+    call's.
+    """
+    u = rng.random(out=out)
+    zero = u == 0.0
+    if zero.any():
+        u[zero] = 2.0**-53
+    a = np.log(u, out=u)
+    a /= -k
+    _quantile_of(c, a)
+
+
 def burr3_sample(p, n, seed):
     """Draw n values by inverse transform from a seeded PCG64 stream.
 
@@ -269,10 +289,9 @@ def burr3_sample(p, n, seed):
     """
     n = whole_number(n, "n")
     rng = np.random.default_rng(whole_number(seed, "seed", 0))
-    u = rng.random(n)
-    # rng.random can emit exactly 0.0; push it onto the open interval
-    u = np.where(u == 0.0, 2.0**-53, u)
-    return burr3_quantile(p, u)
+    out = np.empty(n)
+    _blockwise(functools.partial(_draw, rng, p.c, p.k), out)
+    return out
 
 
 def burr3_shape_class(p):

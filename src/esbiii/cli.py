@@ -23,6 +23,7 @@ import math
 import os
 import shlex
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -316,10 +317,6 @@ def _params_from_flags(args, mu=None, sigma=None):
     )
 
 
-def _params_dict(p):
-    return {"mu": p.mu, "sigma": p.sigma, "c": p.c, "k": p.k, "eps": p.eps}
-
-
 def _gof_block(data, p, ll, free_params, label):
     model = ModelFit(
         label=label,
@@ -329,15 +326,7 @@ def _gof_block(data, p, ll, free_params, label):
     )
     rep = compare_models(data, [model])[0]
     print(f"note: {KS_PVALUE_CAVEAT}", file=sys.stderr)
-    return {
-        "model_label": rep.model_label,
-        "n": rep.n,
-        "ks_stat": rep.ks_stat,
-        "ks_pvalue": rep.ks_pvalue,
-        "loglik": rep.loglik,
-        "aic": rep.aic,
-        "caveat": rep.caveat,
-    }
+    return asdict(rep)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -364,7 +353,7 @@ def cmd_fit(args):
     }
     doc = {
         "kind": "fit_result",
-        "params": _params_dict(result.params),
+        "params": asdict(result.params),
         "loglik": result.loglik,
         "aic": result.aic,
         "free_params": result.free_params,
@@ -385,7 +374,7 @@ def cmd_fit(args):
 def cmd_sample(args):
     p = _params_from_flags(args)
     draws = sample(p, args.n, args.seed)
-    config = {"n": args.n, "seed": args.seed, **_params_dict(p)}
+    config = {"n": args.n, "seed": args.seed, **asdict(p)}
     manifest = build_manifest(args, config, seed=args.seed, timestamp=False)
     _write_bytes(args.out, _csv_bytes(manifest, "value", draws))
     return EXIT_OK
@@ -403,21 +392,10 @@ def cmd_eval(args):
         if not (0.0 < lo and hi < 1.0):
             raise ParseError("quantile grid must lie inside (0, 1)")
         ys = quantile(p, xs)
-    config = {"mode": args.mode, "grid": args.grid, **_params_dict(p)}
+    config = {"mode": args.mode, "grid": args.grid, **asdict(p)}
     manifest = build_manifest(args, config, timestamp=False)
     _write_bytes(args.out, _csv_bytes(manifest, "x,value", xs, ys))
     return EXIT_OK
-
-
-def _limit_dict(lim):
-    return {
-        "finite": lim.finite,
-        "value_pos": lim.value_pos,
-        "value_neg": lim.value_neg,
-        "probes_pos": list(lim.probes_pos),
-        "probes_neg": list(lim.probes_neg),
-        "confirmed": lim.confirmed,
-    }
 
 
 def cmd_diagnose(args):
@@ -426,17 +404,12 @@ def cmd_diagnose(args):
     config = {"c": args.c, "k": args.k, "eps": args.eps, "lambda": args.lam}
     doc = {
         "kind": "score_report",
-        "params": _params_dict(p),
-        "limits": {name: _limit_dict(report.limits[name]) for name in PSI_NAMES},
+        "params": asdict(p),
+        "limits": {name: asdict(report.limits[name]) for name in PSI_NAMES},
         "bounded": dict(report.bounded),
         "x0": report.x0,
         "x0_reason": report.x0_reason,
-        "rho_conditions": {
-            "zero_at_origin": report.rho.zero_at_origin,
-            "unbounded": report.rho.unbounded,
-            "sublinear": report.rho.sublinear,
-            "mu_redescending": report.rho.mu_redescending,
-        },
+        "rho_conditions": asdict(report.rho),
         "tail": {
             "lam": report.tail_lam,
             "heavy": report.tail_heavy,
@@ -475,12 +448,12 @@ def cmd_gof(args):
         "input": args.input,
         "column": args.column,
         "label": data.label,
-        "params": _params_dict(p),
+        "params": asdict(p),
         "free_params": free,
     }
     doc = {
         "kind": "gof_report",
-        "params": _params_dict(p),
+        "params": asdict(p),
         "free_params": free,
         "gof": _gof_block(data, p, ll, free, data.label),
         "manifest": build_manifest(args, config),
@@ -581,17 +554,12 @@ def main(argv=None):
         # a malformed SOURCE_DATE_EPOCH costs no work
         args._timestamp = _timestamp() if args.cmd in ("fit", "gof", "diagnose") else None
         return args.func(args)
-    except ParseError as exc:
-        print(f"esbiii: error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except DegenerateDataError as exc:
-        print(f"esbiii: error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NonConvergenceError as exc:
-        print(f"esbiii: error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except EsbError as exc:
         print(f"esbiii: error: {exc}", file=sys.stderr)
+        if isinstance(exc, DegenerateDataError):
+            return EXIT_DEGENERATE
+        if isinstance(exc, NonConvergenceError):
+            return EXIT_NO_CONVERGENCE
         return EXIT_BAD_INPUT
 
 

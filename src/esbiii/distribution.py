@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import sys
 import warnings
@@ -31,6 +32,7 @@ import numpy as np
 from .burr3 import (
     Burr3Params,
     _blockwise,
+    _draw,
     _fold,
     _log_density,
     _maybe_scalar,
@@ -297,16 +299,6 @@ def sample(p, n, seed):
 
     # Every z is drawn before any sign-scale, as one rng.random(n) call
     # each would: PCG64 streams the same doubles whatever the block size.
-    def draw_z(yb):
-        u = rng.random(out=yb)
-        zero = u == 0.0  # rng.random can emit 0.0; push it onto (0, 1)
-        if zero.any():
-            u[zero] = 2.0**-53
-        # burr3_quantile without its domain check and copy: u is in (0, 1)
-        a = np.log(u, out=u)
-        a /= -p.k
-        _quantile_of(p.c, a)
-
     def sign_scale(yb):
         v = rng.random(yb.size)
         u_mix = _pick(v < 0.5 * (1.0 + p.eps), 1.0 + p.eps, -(1.0 - p.eps))
@@ -319,7 +311,7 @@ def sample(p, n, seed):
             yb[on_mu] = np.nextafter(p.mu, np.copysign(np.inf, u_mix[on_mu]))
 
     y = np.empty(n)
-    _blockwise(draw_z, y)
+    _blockwise(functools.partial(_draw, rng, p.c, p.k), y)
     _blockwise(sign_scale, y)
     return y
 

@@ -54,8 +54,8 @@ objective in mu once.
 An iteration depends on its starting point alone (a failed trust-region
 step is retried from the initial radius), so once one leaves every
 parameter unchanged, bit for bit, every later one would too: the loop
-stops unconverged and logs the fixed point at DEBUG level, naming the
-boundary ray when it lies on one (_on_ray, below).  It stops
+stops unconverged at that fixed point, on a boundary ray (_on_ray,
+below) or not.  It stops
 unconverged too when the tolerances are met with sigma (1 + |eps|) within
 the floor: the data then see only the tails, on the sigma -> 0, k -> inf
 ray.  Likewise with sigma (1 + |eps|) / c within the floor for c > 1: the
@@ -70,8 +70,9 @@ once it reaches an earlier start's converged end point (mu within the
 floor, sigma, c and k within 1e-3 relative, eps within 1e-3) without
 beating its objective, so each optimum is refined once (Rinnooy Kan &
 Timmer, Stochastic global optimization methods, Part I: clustering
-methods, Math. Prog. 39, 1987).  Such a start cannot win.  Each of these
-exits is logged at DEBUG level.
+methods, Math. Prog. 39, 1987).  Such a start cannot win.  Each run names
+its stop once, converged or one of these exits or max_cycles, in one
+DEBUG record on this module's logger.
 """
 
 from __future__ import annotations
@@ -950,7 +951,9 @@ def _ascend(data, p, cfg, score_tol, ends=()):
     them (see _joined).  Returns (p, ll, converged, cycles,
     trace, norm), norm being the scaled working-score norm at the final p.
     The score is computed only where it is needed: when an iteration
-    meets param_tol, and for the norm at the end.
+    meets param_tol, and for the norm at the end.  Each iteration names
+    its stop, if any, in stop; the run logs it once and is converged when
+    it stopped as "converged".
     """
     x, floor = data.values, data.floor
 
@@ -963,7 +966,7 @@ def _ascend(data, p, cfg, score_tol, ends=()):
         raise DegenerateDataError("likelihood undefined at the starting point")
     shape = [1, 3, 4] if cfg.fixed_c is not None else [1, 2, 3, 4]
     trace = [(0, float(ll))]
-    converged, radius, cycle = False, _RADIUS0, 0
+    radius, cycle, stop = _RADIUS0, 0, None
     for cycle in range(1, cfg.max_cycles + 1):
         p_prev, norm = p, None
         mu, mu_ll = _comb_mu_update(data, p, ll)
@@ -973,32 +976,24 @@ def _ascend(data, p, cfg, score_tol, ends=()):
         p, ll, radius = _tr_move(data, p, ll, shape if hold_mu else [0, *shape], radius)
         p, ll = _pattern_step(data, p_prev, p, ll)
         trace.append((cycle, float(ll)))
-        if _rel_change(p, p_prev) <= cfg.param_tol:
-            norm = score_norm(p)
-            if norm <= score_tol:
-                converged = not _on_ray(p, floor)
-                if not converged:
-                    _log.debug(
-                        "cycle %d: stopped on a boundary ray, sigma %.3g, c %.3g",
-                        cycle, p.sigma, p.c,
-                    )
-                break
-        if p == p_prev:
-            # fixed point: every later iteration would repeat this one
-            where = " on a boundary ray" if _on_ray(p, floor) else ""
-            _log.debug("cycle %d: fixed point%s at loglik %.17g", cycle, where, ll)
-            break
-        if p.sigma * (1.0 + abs(p.eps)) * x.size <= floor:
+        if _rel_change(p, p_prev) <= cfg.param_tol and (norm := score_norm(p)) <= score_tol:
+            stop = "stopped on a boundary ray" if _on_ray(p, floor) else "converged"
+        elif p == p_prev:
+            # every later iteration would repeat this one
+            stop = "fixed point on a boundary ray" if _on_ray(p, floor) else "fixed point"
+        elif p.sigma * (1.0 + abs(p.eps)) * x.size <= floor:
             # both side scales far inside the floor: the run drifts along the ray
-            _log.debug("cycle %d: left on the boundary ray, sigma %.3g", cycle, p.sigma)
+            stop = "left on the boundary ray"
+        elif (j := _joined(p, ll, ends, floor)) is not None:
+            stop = f"joined start {j}'s end point"
+        if stop is not None:
             break
-        j = _joined(p, ll, ends, floor)
-        if j is not None:
-            _log.debug("cycle %d: joined start %d's end point at loglik %.17g", cycle, j, ll)
-            break
+    else:
+        stop = "max_cycles reached"
+    _log.debug("cycle %d: %s at loglik %.17g, sigma %.3g, c %.3g", cycle, stop, ll, p.sigma, p.c)
     if norm is None:
         norm = score_norm(p)
-    return p, ll, converged, cycle, trace, norm
+    return p, ll, stop == "converged", cycle, trace, norm
 
 
 def _map_mu(x, data, mu, med, sign, scale):

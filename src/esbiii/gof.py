@@ -120,8 +120,8 @@ def ks_pvalue(d, n):
     """
     if not (0.0 <= d <= 1.0):
         raise DomainError(f"KS statistic must lie in [0, 1], got {d}")
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    if not 1 <= n <= sys.float_info.max:  # exact: an integer beyond the float range is refused
+        raise DomainError(f"n must be at least 1 and finite, got {n}")
     if d == 0.0:
         return 1.0
     en = math.sqrt(n)

@@ -25,6 +25,7 @@ peak x0 beyond which the influence of a point decays back to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,6 +157,14 @@ def redescend_point(p):
     (where the quadratic degenerates to a linear equation) as long as
     sqrt(D) - B > 0.  The peak sits at x0 = (1 + eps) * u**(-1/c) and
     scales linearly with 1 + eps.
+
+    Past |B| of about 1.3e154, B**2 overflows and that form gives u = 0
+    (or nan).  There B = -(c+1) m with m = ck + c - 2 > 0, and
+    sqrt(D) - B = |B| (1 + sqrt(1 - r)) with r = 4(1 - ck) / ((c+1) m**2),
+    so u = 2 / (m (1 + sqrt(1 - r))).  |r| is then below 1e-150, so
+    1 + sqrt(1 - r) rounds to 2 and log u = -log m, which is taken as
+    log c + log(k + 1 - 2/c) so that no product overflows, and
+    x0 = (1 + eps) exp(log m / c).
     """
     c, k, eps = p.c, p.k, p.eps
     big_a = c + 1.0
@@ -168,7 +177,10 @@ def redescend_point(p):
         reason = "ck=1" if c * k == 1.0 else "no positive critical point"
         return RedescendResult(None, reason)
     u0 = 2.0 * big_a / denom
-    x0 = (1.0 + eps) * u0 ** (-1.0 / c)
+    if 0.0 < u0 < math.inf:
+        x0 = (1.0 + eps) * u0 ** (-1.0 / c)
+    else:
+        x0 = (1.0 + eps) * math.exp((math.log(c) + math.log(k + 1.0 - 2.0 / c)) / c)
     return RedescendResult(float(x0), None)
 
 
@@ -247,7 +259,7 @@ def heavy_tail_check(p, lam):
     index from the log-log slope of the survival function between 1e3 and
     1e5 (the slope is -c, so the estimate should recover c).
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
+    if not 0.0 < lam <= sys.float_info.max:  # exact: an integer beyond the float range is refused
         raise DomainError(f"lam must be positive, got {lam}")
     xs = (10.0, 1.0e2, 1.0e3, 1.0e4)
     vals = [lam * v + log_sf_standard(p, v) for v in xs]

@@ -357,7 +357,7 @@ def find_root(g, lo, hi, tol=1e-10, max_iter=200):
     machine width or the iteration budget runs out while the residual is
     still above tol, NonConvergenceError is raised.
     """
-    if not (lo < hi) or not math.isfinite(lo) or not math.isfinite(hi):
+    if not -sys.float_info.max <= lo < hi <= sys.float_info.max:  # exact, as for finite_diff's h
         raise BracketError(f"invalid bracket [{lo}, {hi}]")
     a, b = lo, hi
     fa, fb = g(a), g(b)
@@ -425,7 +425,7 @@ def find_root(g, lo, hi, tol=1e-10, max_iter=200):
 
 def finite_diff(f, x, h):
     """Central difference (f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0.0 or not math.isfinite(h):
+    if not 0.0 < h <= sys.float_info.max:  # exact: an integer beyond the float range is refused
         raise DomainError(f"step must be positive and finite, got {h}")
     fp = f(x + h)
     fm = f(x - h)

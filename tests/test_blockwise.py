@@ -1,7 +1,8 @@
 """The bulk kernels run in blocks of BLOCK elements; blocks must not show.
 
 Every per-element output of an array equals the output on any split of
-the array, and sample, quantile and cdf equal their one-shot formulas.  loglik and score add
+the array, and sample, burr3_sample, quantile and cdf equal their one-shot
+formulas.  loglik and score add
 per-block partial sums, so only they may move, and only in trailing bits.
 A tracemalloc guard keeps the temporaries of a 1e6-element call at block
 size.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esbiii import Params, cdf, logpdf, pdf, quantile, sample
-from esbiii.burr3 import _BLOCK as BLOCK, Burr3Params, burr3_quantile
+from esbiii.burr3 import _BLOCK as BLOCK, Burr3Params, burr3_quantile, burr3_sample
 from esbiii.errors import DensityLimitWarning
 from esbiii.fit import loglik, score
 from esbiii.gof import Dataset
@@ -99,6 +100,15 @@ def test_sample_is_the_one_shot_formula(n, c, k, eps):
     on_mu = y == p.mu
     y[on_mu] = np.nextafter(p.mu, np.copysign(np.inf, u_mix[on_mu]))
     assert np.array_equal(_bits(sample(p, n, 29)), _bits(y))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("c, k", [regime[:2] for regime in REGIMES])
+def test_burr3_sample_is_the_one_shot_formula(n, c, k):
+    p = Burr3Params(c, k)
+    u = np.random.default_rng(29).random(n)
+    u = np.where(u == 0.0, 2.0**-53, u)
+    assert np.array_equal(_bits(burr3_sample(p, n, 29)), _bits(burr3_quantile(p, u)))
 
 
 def _tail_probs(p, n, seed):
@@ -210,6 +220,7 @@ def big():
         ("cdf", 8 * MB + 1.5 * MB),
         ("quantile", 8 * MB + 1.5 * MB),
         ("sample", 2 * 8 * MB + 1.5 * MB),
+        ("burr3_sample", 8 * MB + 1.5 * MB),
         ("loglik", 1.5 * MB),
         ("score", 1.5 * MB),
     ],
@@ -222,6 +233,7 @@ def test_peak_memory_stays_at_block_size(big, name, bound):
         "cdf": lambda: cdf(p, x),
         "quantile": lambda: quantile(p, prob),
         "sample": lambda: sample(p, N_PEAK, 2),
+        "burr3_sample": lambda: burr3_sample(Burr3Params(p.c, p.k), N_PEAK, 2),
         "loglik": lambda: loglik(p, data),
         "score": lambda: score(p, data),
     }

@@ -582,6 +582,39 @@ class TestFitCommand:
         assert not out.exists()
 
 
+def _required_orders(doc, node, path=""):
+    """(path, keys, required) for each object of doc whose schema node lists required keys."""
+    while "$ref" in node:
+        node = SCHEMA["$defs"][node["$ref"].rsplit("/", 1)[1]]
+    if not isinstance(doc, dict):
+        return
+    if "required" in node:
+        yield path, list(doc), node["required"]
+    for key, value in doc.items():
+        sub = node.get("properties", {}).get(key)
+        if sub is not None:
+            yield from _required_orders(value, sub, f"{path}.{key}")
+
+
+def test_documents_list_required_keys_in_schema_order(fit_run, tmp_path):
+    # the documents' bytes follow their key order, which follows the report
+    # dataclasses' field order: a reordered field must fail here
+    _, fit_doc, data = fit_run
+    gof_out, diag_out = tmp_path / "g.json", tmp_path / "d.json"
+    assert main(["gof", "--input", str(data), "--params", "0,1,5,0.2,0.4", "--out", str(gof_out)]) == 0
+    assert main(["diagnose", "--c", "2", "--k", "1", "--eps", "0", "--out", str(diag_out)]) == 0
+    seen = set()
+    for doc in (fit_doc, json.loads(gof_out.read_text()), json.loads(diag_out.read_text())):
+        for path, keys, required in _required_orders(doc, SCHEMA["$defs"][doc["kind"]], doc["kind"]):
+            assert [key for key in keys if key in required] == required, path
+            seen.add(path)
+    assert {
+        "fit_result", "fit_result.params", "fit_result.gof", "gof_report", "gof_report.params",
+        "gof_report.gof", "score_report", "score_report.params", "score_report.limits.mu",
+        "score_report.limits.eps", "score_report.rho_conditions",
+    } <= seen
+
+
 class TestDiagnoseCommand:
     @pytest.mark.parametrize("epoch", ["abc", "99999999999999"])
     def test_malformed_epoch_exits_2(self, monkeypatch, capsys, epoch):
@@ -617,6 +650,20 @@ class TestDiagnoseCommand:
         assert doc["x0"] is None
         assert doc["x0_reason"] == "ck=1"
         assert doc["tail"]["lam"] == 0.5
+
+    @pytest.mark.parametrize(
+        "c, k",
+        [(c, k) for c in (1e77, 1e154, 1e300) for k in (1e-300, 0.5, 3.0)] + [(1.0, 1e300), (2.0, 1e200)],
+    )
+    def test_shapes_whose_quadratic_overflows(self, tmp_path, c, k):
+        # the redescending point's quadratic squares a coefficient past the float range
+        out = tmp_path / "d.json"
+        assert main([
+            "diagnose", "--c", repr(c), "--k", repr(k), "--eps", "0.3", "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        VALIDATOR.validate(doc)
+        assert doc["x0"] > 0.0
 
     def test_bad_lambda_exits_2(self, tmp_path):
         assert main([

@@ -148,6 +148,8 @@ class TestKsPvalue:
             ks_pvalue(1.5, 10)
         with pytest.raises(DomainError):
             ks_pvalue(0.1, 0)
+        with pytest.raises(DomainError):  # an integer beyond the float range
+            ks_pvalue(0.5, 10**400)
 
     def test_null_distribution_roughly_uniform(self):
         # under the null the p-value should not pile up near 0

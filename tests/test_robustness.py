@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,12 @@ from esbiii.robustness import (
 )
 
 P21 = Params(0.0, 1.0, 2.0, 1.0, 0.0)
+
+# shapes whose B**2 in redescend_point overflows a double
+HUGE_B_SHAPES = [(c, k) for c in (1e77, 1e154, 1e300) for k in (1e-300, 0.5, 3.0)] + [
+    (1.0, 1e300),
+    (2.0, 1e200),
+]
 
 PROBE_SETS = [
     Params(0.0, 1.0, 2.0, 1.0, 0.0),
@@ -167,6 +174,20 @@ class TestRedescendPoint:
         skew = redescend_point(Params(0.0, 1.0, 2.0, 1.0, 0.5)).x0
         assert skew == pytest.approx(1.5 * base, rel=1e-12)
 
+    @pytest.mark.parametrize("c, k", HUGE_B_SHAPES)
+    def test_root_where_b_squared_overflows(self, c, k):
+        # the same root as the docstring's quadratic, at 60 digits
+        eps = 0.3
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dc, dk = Decimal(c), Decimal(k)
+            big_b = -(dc * dc * dk) - dc * dc - dc * dk + dc + 2
+            disc = big_b * big_b - 4 * (dc + 1) * (1 - dc * dk)
+            u0 = 2 * (dc + 1) / (disc.sqrt() - big_b)
+            want = (1 + Decimal(eps)) * (-u0.ln() / dc).exp()
+            x0 = redescend_point(Params(0.0, 1.0, c, k, eps)).x0
+            assert abs(Decimal(x0) / want - 1) <= Decimal("1e-12")
+
     def test_rise_and_fall_around_peak(self):
         x0 = redescend_point(P21).x0
         rising = np.linspace(x0 / 2.0, x0, 50)
@@ -211,8 +232,11 @@ class TestHeavyTail:
         assert abs(rep.tail_index_estimate - c) / c < 0.05
 
     def test_invalid_rate_rejected(self):
-        with pytest.raises(DomainError):
-            heavy_tail_check(P21, 0.0)
+        for lam in (0.0, 10**400):  # 10**400: an integer beyond the float range
+            with pytest.raises(DomainError):
+                heavy_tail_check(P21, lam)
+            with pytest.raises(DomainError):
+                build_score_report(P21, lam=lam)
 
     def test_survival_tail_constant(self):
         # x**c * P(X > x) -> k (1 + eps)**(c+1) / 2

@@ -155,6 +155,11 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-10)
 
+    def test_bracket_beyond_the_float_range_rejected(self):
+        # an integer bound past the float range is refused like an infinity
+        with pytest.raises(BracketError):
+            find_root(lambda x: x, -1.0, 10**400)
+
     @given(st.floats(-3.0, 3.0), st.floats(0.2, 4.0))
     def test_root_stays_inside_bracket(self, center, half_width):
         lo, hi = center - half_width, center + half_width
@@ -187,6 +192,10 @@ class TestFiniteDiff:
     def test_non_finite_value_rejected(self):
         with pytest.raises(DomainError):
             finite_diff(lambda x: math.inf, 0.0, 1e-6)
+
+    def test_step_beyond_the_float_range_rejected(self):
+        with pytest.raises(DomainError):
+            finite_diff(math.sin, 0.0, 10**400)
 
 
 class TestLog1pExp:
