@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -185,30 +186,50 @@ def _log_density(log_const, c, k, log_z, out=None):
     The one per-point log density of the package: with log_const =
     log(c*k) it is the Burr III log density, and the epsilon-skew family
     evaluates it at its folded variable with its own constant.  An array
-    log_z can have the result written into out.
+    log_z can have the result written into out.  A log_z that is no array
+    takes the operators in place of the ufuncs: the same operations in the
+    same order, so the same bits, and float arguments give a float with
+    no numpy scalar on the way, as log1p_exp does.
     """
+    if isinstance(log_z, np.ndarray):
+        mul, sub = functools.partial(np.multiply, out=out), functools.partial(np.subtract, out=out)
+    else:
+        mul, sub = operator.mul, operator.sub
     tail = log1p_exp(-c * log_z)
     tail *= k + 1.0
-    res = np.multiply(log_z, c + 1.0, out=out)
-    res = np.subtract(log_const, res, out=out)
-    return np.subtract(res, tail, out=out)
+    return sub(sub(log_const, mul(log_z, c + 1.0)), tail)
 
 
-def _log_density_sum(lz, c, k):
-    """The sum of _log_density(0, c, k, lz) over an array lz = log z, which it overwrites.
+def _log1p_exp_neg(a, c, out):
+    """log1p(e**(-c a)) written into out, from an array a >= 0, which out may be."""
+    np.multiply(a, -c, out=out)
+    return np.log1p(np.exp(out, out=out), out=out)
+
+
+def _log_density_sum(rows, c, k):
+    """The sum of _log_density(0, c, k, lz) over an array lz = log z, from rows, which it overwrites.
 
     The one summed log density of the package: loglik's masked kernel and
     the fitter's objective add it to their constants.  The softplus sum is
     sum log(1 + e**(-c log z)) = sum log1p(e**(-c |log z|)) + c (sum |log
     z| - sum log z) / 2: the positive parts of -c log z come from the two
     sums, not per point.
+
+    rows is lz itself, each sum then taken before the next pass overwrites
+    it: loglik's blocks, whose one temporary stays under the mmap
+    threshold (_BLOCK).  Or it is a (3, m) array whose first row holds lz:
+    |log z| and the log1p terms go into the other two rows, and one
+    row-wise reduce takes the three sums, the same pairwise sums as three
+    1-d reduces, for the fitter's probes, which keep such a scratch.
     """
-    s_lz = np.add.reduce(lz)
-    a = np.abs(lz, out=lz)
-    s_abs = np.add.reduce(a)
-    a *= -c
-    np.log1p(np.exp(a, out=a), out=a)
-    soft = np.add.reduce(a) + 0.5 * c * (s_abs - s_lz)
+    if rows.ndim == 1:
+        s_lz = np.add.reduce(rows)
+        s_abs = np.add.reduce(np.abs(rows, out=rows))
+        s_t = np.add.reduce(_log1p_exp_neg(rows, c, rows))
+    else:
+        _log1p_exp_neg(np.abs(rows[0], out=rows[1]), c, rows[2])
+        s_lz, s_abs, s_t = np.add.reduce(rows, 1).tolist()
+    soft = s_t + 0.5 * c * (s_abs - s_lz)
     return -(c + 1.0) * s_lz - (k + 1.0) * soft
 
 

@@ -141,10 +141,10 @@ class _FlooredSample:
     """A fit's sample, sorted, with its resolution floor and its 5-95% quantile spread.
 
     The spread sets the mu scan's size.  ys holds the values as a list for
-    bisect, and work is one scratch array of their size for _mu_line.  So
-    are below and above, which hold the values divided by the two side
-    scales [sigma (1 - eps), sigma (1 + eps)] that scales lists: those of
-    the line _mu_line last filled them for.
+    bisect, and work is a scratch of three rows of their size for
+    _mu_line.  below and above are scratch rows too, which hold the values
+    divided by the two side scales [sigma (1 - eps), sigma (1 + eps)] that
+    scales lists: those of the line _mu_line last filled them for.
     """
 
     values: np.ndarray
@@ -160,7 +160,7 @@ class _FlooredSample:
 def _floored(x):
     x = np.sort(x)
     lo, hi = np.quantile(x, [0.05, 0.95])
-    work, below, above = (np.empty_like(x) for _ in range(3))
+    work, below, above = np.empty((3, x.size)), np.empty_like(x), np.empty_like(x)
     return _FlooredSample(
         x, _data_resolution(x), float(hi - lo), x.tolist(), work, below, above, [math.nan, math.nan]
     )
@@ -206,17 +206,19 @@ def _mu_line(data, sigma, c, k, eps):
     difference divided by the scale.  A probe refills the buffers when
     they hold another line's scales, so lines may interleave.
 
-    The points off the floor are written into data.work and summed by
-    burr3._log_density_sum.  Those within the floor of mu (a window around
-    the split) share their side's z = floor / scale, and add its log
-    density times their count.  Needs floor > 0.
+    The points off the floor are written into data.work's first row and
+    summed by burr3._log_density_sum, which takes the other two rows as
+    scratch for one row-wise reduce.  Those within the floor of mu (a
+    window around the split) share their side's z = floor / scale, and add
+    its log density times their count.  Needs floor > 0.
 
     The side scales, the constant and the two plateau values are computed
-    once, here, for every call of f.  Returns (f, plateau): plateau holds
+    once, here, as floats, for every call of f.  Returns (f, plateau): plateau holds
     the log density, less its constant, of a point on its floor plateau
     with mu below it and with mu above it (_breakpoints).
     """
     y, ys, floor, w = data.values, data.ys, data.floor, data.work
+    z = w[0]
     below, above, held = data.below, data.above, data.scales
     n = len(ys)
     scales = [sigma * (1.0 - eps), sigma * (1.0 + eps)]
@@ -234,13 +236,14 @@ def _mu_line(data, sigma, c, k, eps):
                 np.divide(y, s_neg, out=below)
                 np.divide(y, s_pos, out=above)
                 held[:] = scales
-            np.subtract(mu / s_neg, below[:a], out=w[:a])
-            np.subtract(above[b:], mu / s_pos, out=w[a:m])
+            np.subtract(mu / s_neg, below[:a], out=z[:a])
+            np.subtract(above[b:], mu / s_pos, out=z[a:m])
         else:
-            np.divide(np.subtract(mu, y[:a], out=w[:a]), s_neg, out=w[:a])
-            np.divide(np.subtract(y[b:], mu, out=w[a:m]), s_pos, out=w[a:m])
-        lz = np.log(w[:m], out=w[:m])
-        return const + _log_density_sum(lz, c, k) + (split - a) * on_neg + (b - split) * on_pos
+            np.divide(np.subtract(mu, y[:a], out=z[:a]), s_neg, out=z[:a])
+            np.divide(np.subtract(y[b:], mu, out=z[a:m]), s_pos, out=z[a:m])
+        lz = z[:m]
+        np.log(lz, out=lz)
+        return const + _log_density_sum(w[:, :m], c, k) + (split - a) * on_neg + (b - split) * on_pos
 
     return f, (on_pos, on_neg)
 
@@ -529,20 +532,18 @@ _LOG_EDGE = 700.0  # |log sigma|, |log c|, |log k| stay where exp is finite and 
 
 def _moved(p, free, step):
     """p with its free theta coordinates moved by step; the others keep their bits."""
-    new = {}
-    for i, h in zip(free, step):
+    v = [p.mu, p.sigma, p.c, p.k, p.eps]
+    for i, h in zip(free, map(float, step)):
         if h == 0.0:
             continue
-        name = COORD_NAMES[i]
-        v = getattr(p, name)
         if i == 0:
-            new[name] = float(v + h)
+            v[0] += h
         elif i == 4:
-            e = math.tanh(math.atanh(v) + h)
-            new[name] = min(max(e, -1.0 + _EPS_EDGE), 1.0 - _EPS_EDGE)
+            e = math.tanh(math.atanh(v[4]) + h)
+            v[4] = min(max(e, -1.0 + _EPS_EDGE), 1.0 - _EPS_EDGE)
         else:
-            new[name] = math.exp(min(max(math.log(v) + h, -_LOG_EDGE), _LOG_EDGE))
-    return replace(p, **new)
+            v[i] = math.exp(min(max(math.log(v[i]) + h, -_LOG_EDGE), _LOG_EDGE))
+    return Params(*v)
 
 
 def _tr_subproblem(g, hess, radius):
@@ -557,26 +558,31 @@ def _tr_subproblem(g, hess, radius):
     """
     lam, q = np.linalg.eigh(-hess)
     gt = q.T @ g
+    live = gt != 0.0
 
     def u(shift):
-        return np.divide(gt, lam + shift, out=np.zeros_like(gt), where=gt != 0.0)
+        return np.divide(gt, lam + shift, out=np.zeros_like(gt), where=live)
 
     if lam[0] > 0.0:
         s = u(0.0)
-        if np.linalg.norm(s) <= radius:
+        if _norm(s) <= radius:
             return q @ s
-    hi = max(0.0, -lam[0]) + np.linalg.norm(gt) / radius  # there |u| <= radius
-    lo = max(0.0, -lam[0]) + 1e-9 * hi
+    pole = max(0.0, -float(lam[0]))
+    hi = pole + _norm(gt) / radius  # there |u| <= radius
+    lo = pole + 1e-9 * hi
     s = u(lo)
-    if np.linalg.norm(s) <= radius:
-        rest = float(np.linalg.norm(s[1:]))
+    if _norm(s) <= radius:
+        rest = _norm(s[1:])
         s[0] = math.copysign(math.sqrt(radius * radius - rest * rest), gt[0])
         return q @ s
-    root = find_root(
-        lambda t: 1.0 / radius - 1.0 / np.linalg.norm(u(t)), lo, hi, tol=1e-6 / radius
-    ).root
+    root = find_root(lambda t: 1.0 / radius - 1.0 / _norm(u(t)), lo, hi, tol=1e-6 / radius).root
     s = u(root)
-    return q @ (s * (radius / np.linalg.norm(s)))
+    return q @ (s * (radius / _norm(s)))
+
+
+def _norm(v):
+    """np.linalg.norm(v) of a 1-d float array, bit for bit: the square root of v.v, without its checks."""
+    return math.sqrt(v @ v)
 
 
 def _tr_move(data, p, ll, free, radius):
@@ -590,8 +596,8 @@ def _tr_move(data, p, ll, free, radius):
     leaves p, with a DEBUG record.
     """
     g, hess = _theta_derivs(data.values, p, data.floor)
-    g, hess = g[free], hess[np.ix_(free, free)]
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
+    g, hess = g[free], hess[free][:, free]
+    if not (np.isfinite(g).all() and np.isfinite(hess).all()):
         _log.debug("trust-region step skipped: score or Hessian not finite at %s", p)
         return p, ll, _RADIUS0
     tries = (radius, _RADIUS0) if radius != _RADIUS0 else (_RADIUS0,)
@@ -603,7 +609,7 @@ def _tr_move(data, p, ll, free, radius):
             if not gain > 0.0 or q == p:
                 break
             q_ll = _sorted_loglik(data, q.mu, q.sigma, q.c, q.k, q.eps)
-            length = float(np.linalg.norm(s))
+            length = _norm(s)
             if q_ll > ll:
                 rho = (q_ll - ll) / gain
                 if rho < 0.25:
@@ -860,11 +866,11 @@ def _pattern_step(data, p_prev, p, ll):
     t = 1.0
     while t <= 64.0:
         q = Params(
-            mu=p.mu + t * dm,
-            sigma=p.sigma * math.exp(t * dls),
-            c=p.c * math.exp(t * dlc),
-            k=p.k * math.exp(t * dlk),
-            eps=float(np.clip(p.eps + t * de, -1.0 + _EPS_EDGE, 1.0 - _EPS_EDGE)),
+            p.mu + t * dm,
+            p.sigma * math.exp(t * dls),
+            p.c * math.exp(t * dlc),
+            p.k * math.exp(t * dlk),
+            min(max(p.eps + t * de, -1.0 + _EPS_EDGE), 1.0 - _EPS_EDGE),
         )
         q_ll = _sorted_loglik(data, q.mu, q.sigma, q.c, q.k, q.eps)
         if not q_ll > ll:
@@ -971,7 +977,7 @@ def _ascend(data, p, cfg, score_tol, ends=()):
         p_prev, norm = p, None
         mu, mu_ll = _comb_mu_update(data, p, ll)
         if mu_ll > ll:
-            p, ll = replace(p, mu=mu), mu_ll
+            p, ll = Params(mu, p.sigma, p.c, p.k, p.eps), mu_ll
         hold_mu = p.c * p.k < 1.0 or _mu_pinned(data, p.mu)
         p, ll, radius = _tr_move(data, p, ll, shape if hold_mu else [0, *shape], radius)
         p, ll = _pattern_step(data, p_prev, p, ll)

@@ -139,6 +139,9 @@ def psi_limits(p):
     return out
 
 
+_BEYOND_FLOATS = "x0 beyond the float range"
+
+
 @dataclass(frozen=True)
 class RedescendResult:
     """Location x0 > 0 of the psi_mu peak, or the reason it is absent."""
@@ -165,6 +168,10 @@ def redescend_point(p):
     1 + sqrt(1 - r) rounds to 2 and log u = -log m, which is taken as
     log c + log(k + 1 - 2/c) so that no product overflows, and
     x0 = (1 + eps) exp(log m / c).
+
+    A peak past the largest double (c = 0.1, k = 1e100 puts it near
+    1e990) has x0 None and the reason _BEYOND_FLOATS: psi_mu still
+    redescends, and rho_conditions says so.
     """
     c, k, eps = p.c, p.k, p.eps
     big_a = c + 1.0
@@ -177,10 +184,15 @@ def redescend_point(p):
         reason = "ck=1" if c * k == 1.0 else "no positive critical point"
         return RedescendResult(None, reason)
     u0 = 2.0 * big_a / denom
-    if 0.0 < u0 < math.inf:
-        x0 = (1.0 + eps) * u0 ** (-1.0 / c)
-    else:
-        x0 = (1.0 + eps) * math.exp((math.log(c) + math.log(k + 1.0 - 2.0 / c)) / c)
+    try:
+        if 0.0 < u0 < math.inf:
+            x0 = (1.0 + eps) * u0 ** (-1.0 / c)
+        else:
+            x0 = (1.0 + eps) * math.exp((math.log(c) + math.log(k + 1.0 - 2.0 / c)) / c)
+    except OverflowError:
+        x0 = math.inf
+    if x0 == math.inf:
+        return RedescendResult(None, _BEYOND_FLOATS)
     return RedescendResult(float(x0), None)
 
 
@@ -209,6 +221,7 @@ def rho_conditions(p):
     up = [_rho(p, v) for v in xs]
     dn = [_rho(p, -v) for v in xs]
     unbounded = up[0] < up[1] < up[2] and dn[0] < dn[1] < dn[2]
+    red = redescend_point(p)  # a peak past the float range still redescends
     sublinear = (
         up[2] / xs[2] < up[1] / xs[1]
         and dn[2] / xs[2] < dn[1] / xs[1]
@@ -219,7 +232,7 @@ def rho_conditions(p):
         zero_at_origin=False,
         unbounded=bool(unbounded),
         sublinear=bool(sublinear),
-        mu_redescending=redescend_point(p).x0 is not None,
+        mu_redescending=red.x0 is not None or red.reason == _BEYOND_FLOATS,
     )
 
 
@@ -293,10 +306,23 @@ class ScoreReport:
 
 def build_score_report(p, lam=1.0):
     """Assemble psi limits, the redescending point, rho conditions and the
-    heavy-tail probe into one report."""
-    limits = psi_limits(p)
+    heavy-tail probe into one report.
+
+    Raises DomainError when a number of the report is not finite: near the
+    top of the float range (c = 1.7e308, say) c (k + 1) and c log z
+    overflow, and the probes would be nan or -inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        limits = psi_limits(p)
+        tail = heavy_tail_check(p, lam)
     red = redescend_point(p)
-    tail = heavy_tail_check(p, lam)
+    numbers = [tail.tail_index_estimate, *(v for _, v in tail.probes)]
+    for lim in limits.values():
+        numbers += [*lim.probes_pos, *lim.probes_neg, lim.value_pos or 0.0, lim.value_neg or 0.0]
+    if not all(math.isfinite(v) for v in numbers):
+        raise DomainError(
+            f"c={p.c}, k={p.k}, eps={p.eps}: the diagnostics overflow the float range"
+        )
     return ScoreReport(
         limits=limits,
         bounded={name: limits[name].finite for name in PSI_NAMES},

@@ -665,6 +665,25 @@ class TestDiagnoseCommand:
         VALIDATOR.validate(doc)
         assert doc["x0"] > 0.0
 
+    def test_peak_beyond_the_float_range(self, tmp_path):
+        # x0 is about 1e990: no double holds it, yet psi_mu redescends
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--c", "0.1", "--k", "1e100", "--eps", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        VALIDATOR.validate(doc)
+        assert doc["x0"] is None
+        assert "float range" in doc["x0_reason"]
+        assert doc["rho_conditions"]["mu_redescending"] is True
+
+    def test_probes_that_overflow_exit_2(self, tmp_path, capsys):
+        # c (k + 1) and c log z overflow: the README's code for a domain error, and no document
+        out = tmp_path / "d.json"
+        assert main(["diagnose", "--c", "1.7e308", "--k", "0.5", "--eps", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float range" in captured.err
+
     def test_bad_lambda_exits_2(self, tmp_path):
         assert main([
             "diagnose", "--c", "2", "--k", "1", "--eps", "0", "--lambda", "-1",

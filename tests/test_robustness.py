@@ -169,6 +169,15 @@ class TestRedescendPoint:
         assert r.x0 is None
         assert r.reason == "ck=1"
 
+    @pytest.mark.parametrize("k", [1e100, 1e300])
+    def test_peak_beyond_the_float_range(self, k):
+        # x0 = u0**(-1/c), or the exp form once B**2 overflows, is past 1e308
+        p = Params(0.0, 1.0, 0.1, k, 0.0)
+        r = redescend_point(p)
+        assert r.x0 is None
+        assert r.reason == "x0 beyond the float range"
+        assert rho_conditions(p).mu_redescending is True
+
     def test_skewness_scales_linearly(self):
         base = redescend_point(P21).x0
         skew = redescend_point(Params(0.0, 1.0, 2.0, 1.0, 0.5)).x0
