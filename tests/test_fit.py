@@ -1,3 +1,4 @@
+import copy
 import functools
 import logging
 import math
@@ -30,7 +31,7 @@ from esbiii.errors import (
     SmallSampleError,
 )
 from esbiii.burr3 import _BLOCK
-from esbiii.fit import COORD_NAMES
+from esbiii.fit import COORD_NAMES, _fit_ml
 
 TRUTH = Params(0.0, 1.0, 5.0, 0.2, 0.4)
 
@@ -700,39 +701,6 @@ class TestMuMove:
             assert moved - ll <= 1e-9 * abs(ll)
 
     @pytest.fixture
-    def objective_calls(self, monkeypatch):
-        """(kernel, x.size, shape of mu) of every objective and mu slope kernel call.
-
-        Each call of a _mu_line line (every objective value the fitter
-        compares, the mu scan's nodes and _sorted_loglik's too) is listed
-        with shape () and the sample's size, as is each call of the mu slope
-        kernel and of the masked kernel _block_loglik, with its mu's shape,
-        so that the mu move's work cannot hide in them.
-        """
-        import esbiii.fit
-
-        calls = []
-        for name in ("_block_loglik", "_mu_sums"):
-
-            def counted(x, mu, *args, name=name, orig=getattr(esbiii.fit, name)):
-                calls.append((name, x.size, np.shape(mu)))
-                return orig(x, mu, *args)
-
-            monkeypatch.setattr(esbiii.fit, name, counted)
-
-        def line(data, *args, orig=esbiii.fit._mu_line):
-            f, plateau = orig(data, *args)
-
-            def counted(mu):
-                calls.append(("_mu_line", data.values.size, ()))
-                return f(mu)
-
-            return counted, plateau
-
-        monkeypatch.setattr(esbiii.fit, "_mu_line", line)
-        return calls
-
-    @pytest.fixture
     def scans(self, monkeypatch):
         """Each mu move's scan, in order: a dict of its data, p, ll, nodes and result.
 
@@ -886,14 +854,19 @@ class TestMuMove:
         assert [getattr(windowed, f) for f in fields] == [getattr(full, f) for f in fields]
 
     @pytest.mark.parametrize("truth, n", [((3.0, 0.5, 0.3), 200), ((5.0, 0.1, 0.2), 2000)])
-    def test_a_fit_makes_no_masked_objective_call(self, objective_calls, truth, n):
+    def test_a_fit_makes_no_masked_objective_call(self, monkeypatch, truth, n):
         # every objective value the fitter compares is a _mu_line line's;
         # the masked kernel serves loglik alone
+        import esbiii.fit
+
+        def refuse(*args):
+            raise AssertionError("the fitter called the masked kernel")
+
+        monkeypatch.setattr(esbiii.fit, "_block_loglik", refuse)
         x = sample(Params(0.0, 1.0, *truth), n, seed=2)
-        r = fit_ml(Dataset(x))
+        r, ledger = _fit_ml(Dataset(x))
         solve_coordinate(r.params, "mu", Dataset(x))
-        kernels = {kernel for kernel, _, _ in objective_calls}
-        assert "_mu_line" in kernels and "_block_loglik" not in kernels
+        assert ledger.probes > 0
 
     def test_every_run_ends_on_the_line_value_at_its_end_point(self, scans, monkeypatch):
         # the CLI chain's second fit: a move that keeps p's mu hands back the
@@ -918,16 +891,17 @@ class TestMuMove:
             assert mu != scan["p"].mu or val == scan["ll"]
 
     @staticmethod
-    def _elements_of_a_fit(calls, truth):
-        fit_ml(Dataset(sample(Params(0.0, 1.0, *truth), 2000, seed=1)))
-        return sum(size * math.prod(shape) for _, size, shape in calls)
+    def _elements_of_a_fit(truth):
+        """(objective and mu slope elements, objective elements) of one n = 2000 fit, from its ledger."""
+        ledger = _fit_ml(Dataset(sample(Params(0.0, 1.0, *truth), 2000, seed=1)))[1]
+        return 2000 * (ledger.probes + ledger.slopes), 2000 * ledger.probes
 
-    def test_objective_elements_of_a_boundary_fit(self, objective_calls):
+    def test_objective_elements_of_a_boundary_fit(self):
         # a count, not a wall time: 5,776,000 objective (_mu_line) elements,
         # 1,000,000 of them the mu scan's nodes, and 550,000 mu slope elements
-        assert self._elements_of_a_fit(objective_calls, (5.0, 0.2, 0.4)) <= 1.1 * 6_326_000
+        elements, line = self._elements_of_a_fit((5.0, 0.2, 0.4))
+        assert elements <= 1.1 * 6_326_000
         # the line's probes are most of the work: a count that misses them is blind
-        line = sum(size for kernel, size, _ in objective_calls if kernel == "_mu_line")
         assert 0.9 * 5_776_000 <= line <= 1.1 * 5_776_000
 
     @pytest.mark.parametrize(
@@ -941,8 +915,8 @@ class TestMuMove:
         # named for the shape, not the ceiling, so a tightened count keeps the name
         ids=["bimodal", "spiked"],
     )
-    def test_objective_elements_of_a_bimodal_and_a_spiked_fit(self, objective_calls, truth, count):
-        assert self._elements_of_a_fit(objective_calls, truth) <= 1.1 * count
+    def test_objective_elements_of_a_bimodal_and_a_spiked_fit(self, truth, count):
+        assert self._elements_of_a_fit(truth)[0] <= 1.1 * count
 
     def test_one_derivative_and_one_score_pass_per_iteration(self, monkeypatch):
         # the trust-region step's gradient and Hessian come from one pass; the
@@ -950,32 +924,18 @@ class TestMuMove:
         # param_tol, and for the norm a run returns
         import esbiii.fit
 
-        counts = {"_deriv_sums": 0, "_grad_sums": 0, "iterations": 0, "runs": 0, "met": 0}
-        for name in ("_deriv_sums", "_grad_sums"):
-
-            def counted(*args, name=name, orig=getattr(esbiii.fit, name)):
-                counts[name] += 1
-                return orig(*args)
-
-            monkeypatch.setattr(esbiii.fit, name, counted)
-
-        def ascend(*args, orig=esbiii.fit._ascend):
-            run = orig(*args)
-            counts["iterations"] += run[3]
-            counts["runs"] += 1
-            return run
+        met = []
 
         def rel_change(*args, orig=esbiii.fit._rel_change):
-            change = orig(*args)
-            counts["met"] += change <= FitConfig().param_tol
-            return change
+            met.append(orig(*args))
+            return met[-1]
 
-        monkeypatch.setattr(esbiii.fit, "_ascend", ascend)
         monkeypatch.setattr(esbiii.fit, "_rel_change", rel_change)
-        fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))
-        assert counts["iterations"] > counts["runs"] + counts["met"]
-        assert counts["_deriv_sums"] <= counts["iterations"]
-        assert counts["_grad_sums"] <= counts["runs"] + counts["met"]
+        ledger = _fit_ml(Dataset(sample(Params(0.0, 1.0, 5.0, 0.2, 0.4), 2000, seed=1)))[1]
+        ends = len(ledger.starts) + sum(change <= FitConfig().param_tol for change in met)
+        assert ledger.iterations > ends
+        assert ledger.derivs <= ledger.iterations
+        assert ledger.scores <= ends
 
     @pytest.fixture(scope="class")
     def smooth_case(self):
@@ -1141,7 +1101,7 @@ class TestMuMove:
 
     @pytest.mark.parametrize("case", ["jump, c*k = 0.9", "corner, c*k = 0.9", "spiked"])
     def test_break_landing_beats_brent_at_half_the_calls(
-        self, objective_calls, brackets, newton_calls, smooth_case, spiked_case, case
+        self, brackets, newton_calls, smooth_case, spiked_case, case
     ):
         x, data, p, cell = spiked_case if case == "spiked" else smooth_case
         floor = data.floor
@@ -1150,12 +1110,12 @@ class TestMuMove:
             p = replace(p, c=0.9 / p.k)
             if case.startswith("jump"):
                 centre = float(x[np.argmin(np.abs(x - p.mu))])
+        probes, slopes = data.ledger.probes, data.ledger.slopes
         f, plateau, (mu, val) = self._finish(data, p, centre - cell, centre + cell)
         # golden section's two first probes and one a step, then the landing
         # and its one or two slope tests alone
-        kernels = [kernel for kernel, _, _ in objective_calls]
-        assert kernels.count("_mu_line") == len(brackets) + 2
-        assert kernels.count("_mu_sums") <= 2
+        assert data.ledger.probes - probes == len(brackets) + 2
+        assert data.ledger.slopes - slopes <= 2
         assert newton_calls == []
         [(_, landing, _)] = self._breaks(data, plateau, *brackets[-1][:2])
         assert mu == landing
@@ -1446,34 +1406,32 @@ class TestFlatRidge:
 
 
 class TestBoundaryRay:
-    def test_stop_below_the_floor_is_not_convergence(self, caplog):
+    def test_stop_below_the_floor_is_not_convergence(self):
         # the fit stops where sigma, three orders of magnitude below the
         # data's resolution, and k = 53 trade off along the k -> inf ray
         from esbiii.fit import _data_resolution
 
         x = sample(Params(0.0, 1.0, 0.8, 0.5, 0.2), 200, seed=2)
-        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
-            r = fit_ml(Dataset(x))
+        r, ledger = _fit_ml(Dataset(x))
         assert not r.converged
         assert r.cycles < FitConfig().max_cycles
         assert r.params.sigma * (1.0 + abs(r.params.eps)) < _data_resolution(x)
-        assert "boundary ray" in caplog.text
+        assert "boundary ray" in ledger.starts[ledger.won][1]
 
-    def test_drift_along_the_ray_ends_early(self, caplog):
+    def test_drift_along_the_ray_ends_early(self):
         # sigma (1 + |eps|) falls below floor / n within a few iterations;
         # without the stop the run drifted for 500 of them to sigma = 2e-9
         data = Dataset(sample(Params(0.0, 1.0, 1.0, 1.0, 0.0), 50, seed=4))
         t0 = time.perf_counter()
-        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
-            r = fit_ml(data)
+        r, ledger = _fit_ml(data)
         assert time.perf_counter() - t0 < 0.5
         assert not r.converged
         assert r.cycles < 50
-        assert "boundary ray" in caplog.text
+        assert ledger.starts[ledger.won][1] == "left on the boundary ray"
 
 
 class TestPowerLimitRay:
-    def test_shoulder_inside_the_floor_is_not_convergence(self, caplog):
+    def test_shoulder_inside_the_floor_is_not_convergence(self):
         # the run stops at c = 1e7 to 1e9, where the objective's last digits
         # are rounding, at the tolerances or at a fixed point, while the
         # objective still rises along c -> inf with c k fixed; the kernel's
@@ -1481,12 +1439,11 @@ class TestPowerLimitRay:
         from esbiii.fit import _data_resolution
 
         x = sample(Params(0.0, 1.0, 20.0, 0.2, 0.5), 20, seed=4)
-        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
-            r = fit_ml(Dataset(x))
+        r, ledger = _fit_ml(Dataset(x))
         p = r.params
         assert not r.converged
         assert p.sigma * (1.0 + abs(p.eps)) / p.c < _data_resolution(x)
-        assert "boundary ray" in caplog.text
+        assert "boundary ray" in ledger.starts[ledger.won][1]
 
 
 class TestOneBlockDirectCall:
@@ -1512,7 +1469,7 @@ class TestOneBlockDirectCall:
 
 
 class TestDuplicateStarts:
-    def test_a_start_that_joins_an_end_would_have_reached_it(self, monkeypatch, caplog):
+    def test_a_start_that_joins_an_end_would_have_reached_it(self, monkeypatch):
         # bimodal: most starts find one optimum; those that reach an earlier
         # start's converged end stop there, and run on alone they end on it
         import esbiii.fit
@@ -1520,30 +1477,60 @@ class TestDuplicateStarts:
         runs = []
         orig = esbiii.fit._ascend
 
-        def recorded(data, p, cfg, score_tol, ends=()):
-            before = len(caplog.records)
-            run = orig(data, p, cfg, score_tol, ends)
-            joined = [
-                int(m.group(1))
-                for rec in caplog.records[before:]
-                if (m := re.search(r"joined start (\d+)", rec.getMessage()))
-            ]
-            runs.append((data, p, cfg, score_tol, list(ends), run, joined))
-            return run
+        def recorded(*args):
+            runs.append((args, orig(*args)))
+            return runs[-1][1]
 
         monkeypatch.setattr(esbiii.fit, "_ascend", recorded)
-        data = Dataset(sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 2000, seed=1))
-        with caplog.at_level(logging.DEBUG, logger="esbiii.fit"):
-            r = fit_ml(data)
+        r, ledger = _fit_ml(Dataset(sample(Params(0.0, 1.0, 2.0, 1.0, -0.3), 2000, seed=1)))
         assert r.converged
-        duplicates = [run for run in runs if run[6]]
+        stops = [re.fullmatch(r"joined start (\d+)'s end point", stop) for _, stop in ledger.starts]
+        duplicates = [(*run, int(m.group(1))) for run, m in zip(runs, stops) if m]
         assert duplicates
-        for floored, p0, cfg, score_tol, ends, run, joined in duplicates:
-            (end_ll,) = [q_ll for j, _, q_ll in ends if j == joined[0]]
+        for (floored, p0, cfg, score_tol, ends), run, joined in duplicates:
+            (end_ll,) = [q_ll for j, _, q_ll in ends if j == joined]
             assert not run[2]
-            assert run[1] <= end_ll <= max(other[5][1] for other in runs)
+            assert run[1] <= end_ll <= max(other[1][1] for other in runs)
             alone = orig(floored, p0, cfg, score_tol)
             assert alone[1] == pytest.approx(end_ll, rel=1e-9, abs=0.0)
+
+
+class TestLedger:
+    """The fit's own count of its work, which the reference set and the work pins read."""
+
+    DATA = Dataset(sample(Params(0.0, 1.0, 3.0, 0.5, 0.3), 200, seed=3))  # the CLI chain's third fit
+
+    def test_lines_and_probes_match_a_line_wrapper_and_the_runs_add_up(self, monkeypatch):
+        import esbiii.fit
+
+        counts = {"lines": 0, "probes": 0}
+
+        def line(*args, orig=esbiii.fit._mu_line):
+            f, plateau = orig(*args)
+            counts["lines"] += 1
+
+            def probe(mu):
+                counts["probes"] += 1
+                return f(mu)
+
+            return probe, plateau
+
+        monkeypatch.setattr(esbiii.fit, "_mu_line", line)
+        r, ledger = _fit_ml(self.DATA)
+        assert counts == {"lines": ledger.lines, "probes": ledger.probes} and ledger.probes > ledger.lines
+        # each run's iterations add up to the total, and the winner's are the result's
+        assert len(ledger.starts) > 1 and sum(i for i, _ in ledger.starts) == ledger.iterations
+        cycles, stop = ledger.starts[ledger.won]
+        assert cycles == r.cycles and (stop == "converged") == r.converged
+
+    def test_each_fit_counts_into_a_ledger_of_its_own(self):
+        r, first = _fit_ml(self.DATA)
+        kept = copy.deepcopy(first)
+        solve_coordinate(r.params, "mu", self.DATA)
+        solve_coordinate(r.params, "sigma", self.DATA)
+        moment_init(self.DATA)
+        second = _fit_ml(self.DATA)[1]
+        assert second is not first and first == kept == second
 
 
 class TestTmix:

@@ -7,22 +7,26 @@
 object per fit: every FitResult field, floats as float.hex, and mu_pinned,
 whether the fitted mu lies within the resolution floor of an observation
 (where the fit holds mu and drops its score from the convergence test),
-and work, the fit's count of the objective lines fit._mu_line bound and of
-the probes made on them: a measure of the fitter's work that does not
-depend on the hardware.  The esbiii fitted is the one in this checkout's
-src, so to compare two versions run each checkout's copy of this file.
+and work, the fit's ledger (fit._Ledger, from fit._fit_ml): the objective
+lines bound and probes made, scan nodes, slope, derivative and score
+passes, trust-region subproblems and rejected steps, pattern-step probes,
+and each start's iterations and stop, counted inside the fit where the
+work is done.  It measures the fitter's work without depending on the
+hardware.  The esbiii fitted is the one in this checkout's src, so to
+compare two versions run each checkout's copy of this file.
 
---compare prints, for two such files, how many fits are identical (every
+--compare prints, for each work key that both files hold, its two
+totals and how many fits' counts differ, so that a change of the
+fitter's work shows fit by fit; the work counts are no field of the
+comparison.  Then it prints how many fits are identical (every
 field), higher or lower in loglik, or equal in loglik with another field
 moved, split by converged (at both) or not and by mu pinned (at either)
 or free.  Each change of convergence is listed, each group's largest
 move down and up, relative to |loglik|, and each fit of equal loglik
-with the fields that moved (params by name), and each file's work
-totals on a line of its own; the work counts are no field of the
-comparison.  It is also the gate a change of the fitter must pass: it
-exits 1, naming the fits, when any fit changes convergence or a fit
-converged at both ends more than 1e-9 relative lower (LOWER_TOL), and 0
-otherwise.
+with the fields that moved (params by name).  It is also the gate a
+change of the fitter must pass: it exits 1, naming the fits, when any
+fit changes convergence or a fit converged at both ends more than 1e-9
+relative lower (LOWER_TOL), and 0 otherwise.
 
 The full set (--subset all) is 198 fits, about 20 s: the nine benchmark
 fits (three truths at n = 2000, seeds 1-3), the CLI chain's three fits,
@@ -45,7 +49,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from esbiii import Dataset, Params, fit, fit_ml, sample  # noqa: E402
+from esbiii import Dataset, Params, fit, sample  # noqa: E402
 from esbiii.fit import _data_resolution  # noqa: E402
 
 LOWER_TOL = 1e-9  # the largest relative drop in loglik a converged fit may take
@@ -105,30 +109,9 @@ def datasets(subset):
     yield from _special()
 
 
-def _counted_fit(x):
-    """fit_ml's result on x and {"lines": lines bound, "probes": probes made} of _mu_line."""
-    work, line = {"lines": 0, "probes": 0}, fit._mu_line
-
-    def counted_line(data, *args):
-        f, plateau = line(data, *args)
-        work["lines"] += 1
-
-        def probe(mu):
-            work["probes"] += 1
-            return f(mu)
-
-        return probe, plateau
-
-    fit._mu_line = counted_line
-    try:
-        return fit_ml(Dataset(x)), work
-    finally:
-        fit._mu_line = line
-
-
 def record(x):
     """fit_ml's result on x, every field exact, whether mu is pinned, and the fit's work."""
-    r, work = _counted_fit(x)
+    r, ledger = fit._fit_ml(Dataset(x))
     floor = _data_resolution(x)
     return {
         "params": {name: getattr(r.params, name).hex() for name in ("mu", "sigma", "c", "k", "eps")},
@@ -140,7 +123,7 @@ def record(x):
         "free_params": r.free_params,
         "trace": [[i, v.hex()] for i, v in r.trace],
         "mu_pinned": bool(np.min(np.abs(x - r.params.mu)) <= floor * (1.0 + 1e-9)),
-        "work": work,
+        "work": vars(ledger),
     }
 
 
@@ -163,21 +146,26 @@ def _moved(ra, rb):
     return fields
 
 
-def _work_totals(path, fits):
-    """One line: the work counts of a file's fits, summed, or that it holds none."""
-    counted = [r["work"] for r in fits.values() if "work" in r]
-    if not counted:
-        return f"{path}: no work counts"
-    lines, probes = (sum(w[key] for w in counted) for key in ("lines", "probes"))
-    return f"{path}: {lines} lines bound, {probes} probes, in {len(counted)} fits"
+def _work(a, b):
+    """A line per work key both files hold: its totals over their common fits, and the fits it differs in.
+
+    A list (each run's iterations and stop) totals its length.
+    """
+    wa, wb = ({name: r.pop("work", {}) for name, r in fits.items()} for fits in (a, b))
+    names = [name for name in wa.keys() & wb.keys() if wa[name] and wb[name]]
+    keys = [key for key in wa[names[0]] if key in wb[names[0]]] if names else []
+    if not keys:
+        print("work: no counts in both files")
+    for key in keys:
+        va, vb = ([w[name][key] for name in names] for w in (wa, wb))
+        ta, tb = (sum(len(v) if isinstance(v, list) else v for v in vs) for vs in (va, vb))
+        moved = sum(x != y for x, y in zip(va, vb))
+        print(f"work {key}: {ta} -> {tb}, {moved} of {len(names)} fits differ")
 
 
 def compare(path_a, path_b):
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b))
-    for path, fits in ((path_a, a), (path_b, b)):
-        print(_work_totals(path, fits))
-        for r in fits.values():
-            r.pop("work", None)
+    _work(a, b)
     only = sorted(a.keys() ^ b.keys())
     if only:
         print(f"{len(only)} fits are in one file only, among them {only[:3]}")
