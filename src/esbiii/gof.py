@@ -11,6 +11,7 @@ import numpy as np
 
 from .burr3 import _maybe_scalar
 from .errors import DomainError, whole_number
+from .special_math import _on_points
 
 __all__ = [
     "Dataset",
@@ -80,28 +81,18 @@ def ecdf(data, y):
     return _maybe_scalar(counts / data.n, y)
 
 
-def _model_cdf_values(data, model_cdf):
-    xs = data.sorted_values
-    try:
-        vals = np.asarray(model_cdf(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(model_cdf(float(v))) for v in xs])
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("model cdf returned non-finite values")
-    if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-        raise DomainError("model cdf returned values outside [0, 1]")
-    return np.clip(vals, 0.0, 1.0)
-
-
 def ks_statistic(data, model_cdf):
     """Two-sided Kolmogorov-Smirnov distance between the sample and a CDF.
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted
     sample, which is the exact supremum over all reals for a step ECDF.
+    model_cdf gets the sorted sample as one array when it takes one and
+    returns one value per point, and is called point by point otherwise.
     """
-    f = _model_cdf_values(data, model_cdf)
+    f = _on_points(model_cdf, data.sorted_values)
+    if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12):
+        raise DomainError("model cdf returned values outside [0, 1]")
+    f = np.clip(f, 0.0, 1.0)
     n = data.n
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - f)

@@ -192,11 +192,29 @@ class QuadratureResult:
     subdivisions: int
 
 
-def _eval_checked(f, x):
-    y = f(x)
-    if not math.isfinite(y):
-        raise DomainError(f"integrand returned non-finite value {y} at x={x}")
+def _on_points(f, x):
+    """f valued at each point of the 1-d float array x, as a float array.
+
+    One call f(x) when f takes the array and returns one value per point;
+    otherwise f(float(v)) point by point, in x's order.  A non-finite value
+    raises DomainError naming the first point that gave one.
+    """
+    try:
+        y = np.asarray(f(x), dtype=float)
+        if y.shape != x.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        y = np.array([float(f(v)) for v in x.tolist()])
+    bad = ~np.isfinite(y)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"non-finite value {y[i]} at x={x[i]}")
     return y
+
+
+# The panel's nodes as offsets from its centre in half-lengths: the centre,
+# then each Kronrod pair (-XGK[i], +XGK[i]).
+_GK_NODES = np.array([0.0, *(s * v for v in _XGK for s in (-1.0, 1.0))])
 
 
 def _gk15(f, a, b):
@@ -208,35 +226,26 @@ def _gk15(f, a, b):
     """
     center = 0.5 * (a + b)
     hlen = 0.5 * (b - a)
-    fc = _eval_checked(f, center)
+    x = center + hlen * _GK_NODES
+    # keep the pairs strictly interior: on very narrow panels the scaled
+    # abscissa can round onto an endpoint, where integrable-singular
+    # integrands blow up
+    np.maximum(x[1::2], math.nextafter(a, b), out=x[1::2])
+    np.minimum(x[2::2], math.nextafter(b, a), out=x[2::2])
+    fc, *vals = _on_points(f, x).tolist()
+    pairs = list(zip(vals[0::2], vals[1::2]))
     resg = _WG_CENTER * fc
     resk = _WGK_CENTER * fc
     resabs = _WGK_CENTER * abs(fc)
-    lo_vals = [0.0] * 7
-    hi_vals = [0.0] * 7
-    for i in range(7):
-        dx = hlen * _XGK[i]
-        # keep nodes strictly interior: on very narrow panels the scaled
-        # abscissa can round onto an endpoint, where integrable-singular
-        # integrands blow up
-        x1 = center - dx
-        x2 = center + dx
-        if x1 <= a:
-            x1 = math.nextafter(a, b)
-        if x2 >= b:
-            x2 = math.nextafter(b, a)
-        f1 = _eval_checked(f, x1)
-        f2 = _eval_checked(f, x2)
-        lo_vals[i] = f1
-        hi_vals[i] = f2
+    for i, (f1, f2) in enumerate(pairs):
         resk += _WGK[i] * (f1 + f2)
         resabs += _WGK[i] * (abs(f1) + abs(f2))
         if i % 2 == 1:
             resg += _WG[i // 2] * (f1 + f2)
     reskh = 0.5 * resk
     resasc = _WGK_CENTER * abs(fc - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(lo_vals[i] - reskh) + abs(hi_vals[i] - reskh))
+    for i, (f1, f2) in enumerate(pairs):
+        resasc += _WGK[i] * (abs(f1 - reskh) + abs(f2 - reskh))
     value = resk * hlen
     resabs *= abs(hlen)
     resasc *= abs(hlen)
@@ -289,12 +298,14 @@ def integrate(f, lo, hi, tol=1e-9, max_subdivisions=4000):
     substitution x = a + t/(1-t) (and its mirror), and a doubly infinite
     range is split at zero first.  Interior integrable singularities are
     fine as long as f returns finite values at the points actually probed;
-    a non-finite sample raises DomainError.
+    a non-finite sample raises DomainError naming its point.
 
     Parameters
     ----------
     f : callable
-        Scalar function of one real argument.
+        Function of one real argument.  Each panel's 15 nodes go to f as
+        one float array when f takes it and returns one value per node;
+        otherwise f is called point by point with floats.
     lo, hi : float
         Endpoints, each possibly infinite.  Must satisfy lo < hi.
     tol : float

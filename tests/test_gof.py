@@ -113,6 +113,44 @@ class TestKsStatistic:
         with pytest.raises(DomainError):
             ks_statistic(d, lambda x: np.asarray(x) * 5.0)
 
+    def test_scalar_only_cdf_goes_point_by_point(self):
+        # math.exp refuses an array, so the cdf is valued once per point, in
+        # sorted order, with floats
+        xs = [0.7, -1.2, 0.1, -0.4, 2.3]
+        seen = []
+
+        def logistic(x):
+            seen.append(x)
+            return 1.0 / (1.0 + math.exp(-x))
+
+        dist = ks_statistic(Dataset(xs), logistic)
+        assert isinstance(seen[0], np.ndarray)  # the one array call, refused
+        assert [type(x) for x in seen[1:]] == [float] * len(xs)
+        assert seen[1:] == sorted(xs)
+        want = ks_statistic(Dataset(xs), lambda x: 1.0 / (1.0 + np.exp(-x)))
+        assert dist == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["array", "scalar"])
+    def test_non_finite_cdf_value_names_its_point(self, bad, vectorized):
+        d = Dataset([3.0, 1.0, 2.5, 2.0])
+        if vectorized:
+            f = lambda x: np.where(x >= 2.0, bad, 0.5)
+        else:
+            f = lambda x: bad if x >= 2.0 else 0.5
+        with pytest.raises(DomainError, match=rf"non-finite value {bad} at x=2\.0$"):
+            ks_statistic(d, f)
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["array", "scalar"])
+    def test_cdf_outside_unit_interval_rejected(self, vectorized):
+        d = Dataset([1.0, 2.0, 3.0])
+        if vectorized:
+            f = lambda x: np.asarray(x) / 2.0 - 0.25
+        else:
+            f = lambda x: x / 2.0 - 0.25
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            ks_statistic(d, f)
+
 
 class TestKsPvalue:
     def test_zero_distance(self):

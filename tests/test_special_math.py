@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from esbiii import special_math as sm
 from esbiii.errors import BracketError, DomainError, NonConvergenceError
 from esbiii.special_math import (
     beta_fn,
@@ -139,6 +141,168 @@ class TestIntegrate:
         # panels cannot get anywhere near tol
         with pytest.raises(NonConvergenceError):
             integrate(lambda x: x**-0.9, 0.0, 1.0, tol=1e-12, max_subdivisions=3)
+
+
+def _gk15_per_node(f, a, b):
+    """The 15-point Kronrod panel as a loop over its nodes: the reference.
+
+    The centre, then each pair (centre -/+ hlen * XGK[i]) clamped strictly
+    inside (a, b), each valued by one scalar call in that order.
+    """
+    center = 0.5 * (a + b)
+    hlen = 0.5 * (b - a)
+    fc = f(center)
+    resg = sm._WG_CENTER * fc
+    resk = sm._WGK_CENTER * fc
+    resabs = sm._WGK_CENTER * abs(fc)
+    pairs = []
+    for i in range(7):
+        dx = hlen * sm._XGK[i]
+        x1 = center - dx
+        x2 = center + dx
+        if x1 <= a:
+            x1 = math.nextafter(a, b)
+        if x2 >= b:
+            x2 = math.nextafter(b, a)
+        f1 = f(x1)
+        f2 = f(x2)
+        pairs.append((f1, f2))
+        resk += sm._WGK[i] * (f1 + f2)
+        resabs += sm._WGK[i] * (abs(f1) + abs(f2))
+        if i % 2 == 1:
+            resg += sm._WG[i // 2] * (f1 + f2)
+    reskh = 0.5 * resk
+    resasc = sm._WGK_CENTER * abs(fc - reskh)
+    for i, (f1, f2) in enumerate(pairs):
+        resasc += sm._WGK[i] * (abs(f1 - reskh) + abs(f2 - reskh))
+    value = resk * hlen
+    resabs *= abs(hlen)
+    resasc *= abs(hlen)
+    err = abs((resk - resg) * hlen)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > sm._TINY / (50.0 * sm._EPS):
+        err = max(err, 50.0 * sm._EPS * resabs)
+    return value, err
+
+
+def _scalar_only(g, calls):
+    """g(x) for a float x, recorded in calls; a TypeError for anything else."""
+
+    def f(x):
+        if not isinstance(x, float):
+            raise TypeError("scalar only")
+        calls.append(x)
+        return g(x)
+
+    return f
+
+
+def _panels(calls):
+    return [calls[i : i + 15] for i in range(0, len(calls), 15)]
+
+
+class TestIntegratePanels:
+    """Each panel values its 15 nodes in one call when f takes an array."""
+
+    def test_an_array_integrand_is_called_once_per_panel(self):
+        shapes = []
+
+        def f(x):
+            shapes.append((type(x), x.shape, x.dtype))
+            return np.sqrt(x)
+
+        r = integrate(f, 0.0, 1.0, tol=1e-12)
+        # two panels to begin with, then two more for every split
+        assert r.subdivisions > 2
+        assert len(shapes) == 2 * r.subdivisions - 2
+        assert set(shapes) == {(np.ndarray, (15,), np.dtype(float))}
+        assert r.value == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_an_array_gets_the_centre_then_the_pairs(self):
+        seen = []
+        integrate(lambda x: seen.append(x.copy()) or np.ones_like(x), 0.0, 1.0)
+        x = seen[0]
+        assert x[0] == 0.25
+        assert x[1::2].tolist() == [0.25 - 0.25 * v for v in sm._XGK]
+        assert x[2::2].tolist() == [0.25 + 0.25 * v for v in sm._XGK]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda x: math.exp(-x),
+            lambda x: 1.0,
+            lambda x: math.cos(0.7 * x) / (1.0 + x * x),
+        ],
+        ids=["exp", "constant", "cos"],
+    )
+    def test_a_scalar_only_integrand_goes_point_by_point(self, g):
+        calls = []
+        r = integrate(_scalar_only(g, calls), 0.0, 3.0, tol=1e-12)
+        panels = _panels(calls)
+        assert len(calls) == 15 * len(panels)
+        assert len(panels) == 2 * r.subdivisions - 2
+        for p in panels:
+            # the centre first, then each pair from the outermost inward
+            assert p[1::2] == sorted(p[1::2])
+            assert p[2::2] == sorted(p[2::2], reverse=True)
+            assert max(p[1::2]) < p[0] < min(p[2::2])
+
+    def test_a_list_of_the_wrong_length_falls_back_to_points(self):
+        calls = []
+
+        def f(x):
+            if isinstance(x, np.ndarray):
+                return [1.0, 2.0]
+            calls.append(x)
+            return math.exp(x)
+
+        r = integrate(f, 0.0, 1.0, tol=1e-10)
+        assert len(calls) == 15 * (2 * r.subdivisions - 2)
+        assert r.value == pytest.approx(math.e - 1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda x: math.exp(-x),
+            lambda x: 1.0,
+            lambda x: abs(x) ** -0.9,
+            lambda x: math.cos(0.7 * x) / (1.0 + x * x),
+            lambda x: (1.0 - x) ** -0.5,
+        ],
+        ids=["exp", "constant", "singular-at-0", "cos", "singular-at-1"],
+    )
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (0.0, 1.0),
+            (-2.5, 0.75),
+            (0.0, 2.0**-1060),
+            (0.0, 5e-324),
+            (0.3, math.nextafter(0.3, 1.0)),
+            (1.0 - 2.0**-40, math.nextafter(1.0, 0.0)),
+        ],
+    )
+    def test_a_panel_keeps_the_per_node_bits(self, g, a, b):
+        # narrow and one-ulp panels included, where nodes round onto an end
+        def outcome(rule):
+            try:
+                return [v.hex() for v in rule(_scalar_only(g, []), a, b)]
+            except ZeroDivisionError:  # g's pole, reached at an end
+                return "pole"
+
+        assert outcome(sm._gk15) == outcome(_gk15_per_node)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_the_first_non_finite_node_is_named(self, bad):
+        # on the first panel (0, 1/2) the outer right node is the first
+        # past 0.3 in the order centre, then the pairs from the outermost in
+        first = 0.25 + 0.25 * sm._XGK[0]
+        scalar = lambda x: bad if x > 0.3 else 1.0
+        array = lambda x: np.where(x > 0.3, bad, 1.0)
+        for f in (scalar, array):
+            with pytest.raises(DomainError, match=rf"non-finite value {bad} at x={re.escape(repr(first))}$"):
+                integrate(f, 0.0, 1.0)
 
 
 class TestFindRoot:
